@@ -169,7 +169,7 @@ void report_table() {
 ///     validation hot path at scale, capped at kGiantEventBudget events per
 ///     run (a full reconfiguration at these sizes is O(N^2) hops — the
 ///     bench measures event throughput, not completion). The 10^6 group is
-///     the paper's §V.E scale on the batched row oracle: throughput must
+///     the paper's §V.E scale on the mask oracle: throughput must
 ///     hold flat across the 10^4 -> 10^6 decades;
 ///   - blob10000000 (only with --giant): one decade past the paper, a
 ///     10^7-module blob on a ~5000^2 surface. Too heavy for routine CI

@@ -4,9 +4,9 @@
 // needs comes from data files.
 //
 //   $ ./run_scenario data/scenarios/fig10.surf
-//   $ ./run_scenario data/scenarios/tower16.surf \
-//         --rules data/rules/standard_capabilities.xml \
-//         --latency exponential --seed 7 --animate
+//   $ ./run_scenario data/scenarios/tower16.surf --latency exponential --seed 7
+//   $ R=data/rules/standard_capabilities.xml
+//   $ ./run_scenario data/scenarios/tower16.surf --rules "$R" --animate
 
 #include <cstdio>
 

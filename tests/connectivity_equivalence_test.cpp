@@ -6,10 +6,14 @@
 // hash-set BFS reference (the pre-fast-path implementation) over thousands
 // of random grids and move batches — including disconnecting moves,
 // handover chains and carrying-style double moves — and across mutations,
-// which exercises the grid's cached connectivity hint.
+// which exercises the grid's cached connectivity hint. The local rule is
+// also checked exhaustively: every ring occupancy, with the center in the
+// interior and on every border of the surface.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdlib>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -109,6 +113,31 @@ bool reference_single_line_after(const Grid& grid, const MoveList& moves) {
   return same_x || same_y;
 }
 
+/// Number of 4-connected components among the blocks with `vacated`
+/// treated as empty.
+int reference_components(const Grid& grid, Vec2 vacated) {
+  std::unordered_set<Vec2, Vec2Hash> seen{vacated};
+  int components = 0;
+  for (const auto& [id, pos] : grid.blocks()) {
+    if (seen.count(pos)) continue;
+    ++components;
+    seen.insert(pos);
+    std::vector<Vec2> frontier{pos};
+    while (!frontier.empty()) {
+      const Vec2 p = frontier.back();
+      frontier.pop_back();
+      for (Direction d : all_directions()) {
+        const Vec2 q = p + delta(d);
+        if (!seen.count(q) && grid.occupied(q)) {
+          seen.insert(q);
+          frontier.push_back(q);
+        }
+      }
+    }
+  }
+  return components;
+}
+
 // -- random generation ------------------------------------------------------
 
 Grid random_grid(Rng& rng, std::vector<Vec2>& occupied_cells) {
@@ -199,7 +228,98 @@ MoveList random_batch(const Grid& grid, const std::vector<Vec2>& cells,
   return moves;
 }
 
+// -- exhaustive ring worlds -------------------------------------------------
+
+/// The eight cells around a center. Bit i of a ring occupancy selects
+/// kRingOffsets[i]; the order is the test's own and need not match the
+/// oracle's internal mask layout.
+constexpr std::array<Vec2, 8> kRingOffsets = {
+    Vec2{-1, -1}, Vec2{0, -1}, Vec2{1, -1}, Vec2{1, 0},
+    Vec2{1, 1},   Vec2{0, 1},  Vec2{-1, 1}, Vec2{-1, 0},
+};
+
+/// 4x4 surface holding `center` and the cells of `ring` that lie on the
+/// surface (off-surface ring cells are absent); with `fill_rest`, every
+/// cell outside the ring is occupied too. `*on_surface` receives the bits
+/// of `ring` that were placed.
+Grid ring_world(Vec2 center, uint32_t ring, bool fill_rest,
+                uint32_t* on_surface) {
+  Grid grid(4, 4);
+  uint32_t id = 1;
+  grid.place(BlockId{id++}, center);
+  *on_surface = 0;
+  for (size_t i = 0; i < kRingOffsets.size(); ++i) {
+    const Vec2 q = center + kRingOffsets[i];
+    if (((ring >> i) & 1) == 0 || !grid.in_bounds(q)) continue;
+    grid.place(BlockId{id++}, q);
+    *on_surface |= 1u << i;
+  }
+  if (fill_rest) {
+    for (int32_t y = 0; y < grid.height(); ++y) {
+      for (int32_t x = 0; x < grid.width(); ++x) {
+        const Vec2 d = Vec2{x, y} - center;
+        if (std::abs(d.x) <= 1 && std::abs(d.y) <= 1) continue;  // ring
+        grid.place(BlockId{id++}, {x, y});
+      }
+    }
+  }
+  return grid;
+}
+
 // -- suites -----------------------------------------------------------------
+
+TEST(ConnectivityEquivalence, MaskRuleOverEveryRingOnEveryBorder) {
+  // All 256 ring occupancies around a center in the interior, on each edge
+  // and in each corner. Off-surface ring cells reach the rule only as the
+  // occupancy image's padding bytes, which must read as empty: a border
+  // center gets the verdict of an interior center whose ring holds the
+  // same on-surface cells. With the rest of the surface filled, a padding
+  // read that aliased into a neighboring row would see an occupied cell.
+  // The random suites reach these padding reads only by chance.
+  const Vec2 interior{1, 1};
+  const std::array<Vec2, 9> centers = {
+      interior,   Vec2{2, 0}, Vec2{0, 2}, Vec2{3, 1}, Vec2{1, 3},
+      Vec2{0, 0}, Vec2{3, 0}, Vec2{0, 3}, Vec2{3, 3},
+  };
+  std::array<LocalVerdict, 256> interior_verdict{};
+  int proven = 0;
+  for (const Vec2 center : centers) {
+    for (uint32_t ring = 0; ring < 256; ++ring) {
+      for (const bool fill_rest : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "center " << center << " ring "
+                                        << ring << " fill_rest " << fill_rest);
+        uint32_t on_surface = 0;
+        const Grid grid = ring_world(center, ring, fill_rest, &on_surface);
+        const LocalVerdict verdict = local_removal_check(grid, center);
+        ASSERT_NE(verdict, LocalVerdict::kDisconnects);
+        // Vacating the center keeps every block in its component iff the
+        // component count is unchanged ({-1,-1} vacates nothing).
+        const bool keeps = reference_components(grid, center) ==
+                           reference_components(grid, Vec2{-1, -1});
+        if (verdict == LocalVerdict::kPreservesConnectivity) {
+          ASSERT_TRUE(keeps) << "local rule accepted a disconnecting removal";
+          ++proven;
+        }
+        if (!fill_rest) {
+          // Only the ring is occupied, so the rule sees the whole picture
+          // and must decide every center that touches an orthogonal
+          // neighbor.
+          const bool touches = grid.occupied_neighbor_count(center) > 0;
+          ASSERT_EQ(verdict == LocalVerdict::kPreservesConnectivity,
+                    touches && keeps);
+        }
+        if (center == interior && !fill_rest) {
+          interior_verdict[ring] = verdict;
+        } else {
+          ASSERT_EQ(verdict, interior_verdict[on_surface])
+              << "on-surface ring " << on_surface;
+        }
+      }
+    }
+  }
+  EXPECT_GT(proven, 1000);
+}
+
 
 TEST(ConnectivityEquivalence, RandomGridsAgreeWithReference) {
   Rng rng(0xC0FFEEULL);
