@@ -169,6 +169,7 @@ std::string compare_dist_backend(const FuzzCase& fuzz_case,
   grid.seed_count = 1;
   grid.master_seed = fuzz_case.seed;
   grid.latency = fuzz_case.latency_kind == "uniform" ? "uniform" : "fixed";
+  grid.max_events = fuzz_case.max_events;
   grid.threads = 1;
 
   std::string divergence;

@@ -94,6 +94,12 @@ struct DiffOutcome {
 /// the timing-scrubbed reports. Returns a divergence description, or "" on
 /// agreement. Exposed for the corpus dist smoke test; run_case calls it for
 /// churn-free cases when `options.run_dist`.
+///
+/// The sweep grid carries the case's scenario, seed, latency kind and
+/// event budget (max_events). Sweep grids cannot express the rest of the
+/// case's session knobs — motion duration, election tie rule, ack timeout,
+/// iteration cap, latency bounds, churn — so both legs run those at the
+/// sweep defaults, identically.
 [[nodiscard]] std::string compare_dist_backend(const FuzzCase& fuzz_case,
                                                const DiffOptions& options = {});
 

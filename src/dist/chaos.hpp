@@ -1,5 +1,5 @@
 #pragma once
-// Scripted fault injection for the distributed sweep service.
+// Scripted fault injection for the distributed sweep backend.
 //
 // Every recovery path in the dist layer (journal resume, worker reconnect,
 // duplicate redelivery, partial-frame teardown) is exercised in ctest and CI

@@ -1,14 +1,11 @@
 #pragma once
-// Distributed sweep coordinator: a job-queue service that partitions each
-// job's expanded spec list into contiguous work units and serves them to a
-// fleet of workers over the dist protocol, merging RunRow batches at most
-// once per (job, unit).
+// Distributed sweep coordinator: partitions one sweep grid's expanded spec
+// list into contiguous work units and serves them to a fleet of workers
+// over the dist protocol, merging RunRow batches at most once per unit.
 //
 // Dispatch is pull-based — a worker that finishes early simply pulls the
 // next unit, so fast workers steal more of the grid with no static
-// partition. Heterogeneous fleets are honored: each worker's hello announces
-// its core count, and a job submitted with min_cores > 0 only dispatches to
-// workers at least that big.
+// partition.
 //
 // Fault model (docs/ARCHITECTURE.md "Distributed sweep backend"): a worker
 // can die (connection drop) or stall (heartbeats stop) at any time; its
@@ -42,9 +39,8 @@ class Coordinator {
     std::string bind_address = "127.0.0.1";
     /// 0 picks an ephemeral port (read it back via port()).
     uint16_t port = 0;
-    /// Specs per work unit of the primary job. 1 maximizes stealing
-    /// granularity; raise it to amortize protocol overhead on grids of tiny
-    /// runs. (Client-submitted jobs carry their own unit size.)
+    /// Specs per work unit. 1 maximizes stealing granularity; raise it to
+    /// amortize protocol overhead on grids of tiny runs.
     size_t unit_size = 1;
     /// Hard per-unit deadline, measured from assignment and deliberately
     /// NOT refreshed by heartbeats: a live worker stuck on a unit is
@@ -56,12 +52,11 @@ class Coordinator {
     /// A worker connection that sends nothing (heartbeats included) for
     /// this long is declared dead and its in-flight units are requeued
     /// immediately. Workers heartbeat every second by default, so this is
-    /// generous. Client connections are exempt — a client waiting out a
-    /// long fetch legitimately sends nothing.
+    /// generous.
     int worker_silence_ms = 15000;
     /// Accept-loop and timeout-monitor poll granularity.
     int tick_ms = 100;
-    /// Once the service is stopping, connections get a stop message and
+    /// Once the sweep is complete, connections get a stop message and
     /// this long to wind down; a worker still grinding a stale (reassigned
     /// and already-merged) unit is then cut off so run() returns promptly.
     int stop_linger_ms = 2000;
@@ -71,25 +66,17 @@ class Coordinator {
     /// Write-ahead result journal (dist/journal.hpp); empty = volatile
     /// coordinator, kill loses unmerged progress.
     std::string journal_path;
-    /// Service mode: run() keeps serving after the primary job (if any)
-    /// completes, accepting client submissions until shutdown().
-    bool serve = false;
     /// Progress chatter (worker arrivals, deaths, reassignments) on stderr.
     bool verbose = false;
   };
 
-  /// Primary-sweep constructor: binds the listener immediately (so port()
-  /// is valid and workers may start connecting) and queues `grid_options`
-  /// as job 0; run() returns its rows. The coordinator expands the grid
-  /// dimensions itself and announces the spec count to workers as a
-  /// cross-check.
+  /// Binds the listener immediately (so port() is valid and workers may
+  /// start connecting) and queues the grid's full partition; run() returns
+  /// its rows. The coordinator counts the grid's specs itself and announces
+  /// the count to workers as a cross-check.
   Coordinator(runner::SweepCliOptions grid_options, Options options);
 
-  /// Service constructor: no primary job; work arrives via client submit.
-  /// run() serves until shutdown().
-  explicit Coordinator(Options options);
-
-  /// Resume constructor: rebuilds the job table from a parsed journal,
+  /// Resume constructor: rebuilds the sweep from a parsed journal,
   /// binding the address/port pinned in its header (so orphaned workers
   /// find the resumed coordinator), replays every journaled batch through
   /// the merger, and re-dispatches only unfinished units.
@@ -103,18 +90,12 @@ class Coordinator {
 
   [[nodiscard]] uint16_t port() const;
 
-  /// Spec count of the primary job (0 when constructed in service mode).
   [[nodiscard]] size_t spec_count() const;
 
-  /// Serves the fleet. With a primary job (and serve=false) returns its
-  /// rows in spec order once every spec is merged; in service mode blocks
-  /// until shutdown() and returns empty. Throws std::runtime_error if
-  /// total_timeout_ms expires first or the primary job is cancelled.
+  /// Serves the fleet and returns the rows in spec order once every spec
+  /// is merged. Throws std::runtime_error if total_timeout_ms expires
+  /// first.
   [[nodiscard]] std::vector<runner::RunRow> run();
-
-  /// Asks run() to wind down: workers get stop, clients are disconnected.
-  /// Thread-safe; callable while run() is blocked in another thread.
-  void shutdown();
 
  private:
   struct Impl;

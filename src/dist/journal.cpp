@@ -4,13 +4,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runner/serialize.hpp"
 #include "util/fmt.hpp"
@@ -44,22 +42,18 @@ size_t get_size(const JsonValue& json, std::string_view key) {
 JsonValue job_to_json(const JournalJob& job) {
   JsonValue out = JsonValue::object();
   out["record"] = JsonValue("job");
-  out["job"] = JsonValue(job.job);
   out["options"] = runner::options_to_json(job.options);
   out["spec_count"] = JsonValue(job.spec_count);
   out["unit_size"] = JsonValue(job.unit_size);
-  out["min_cores"] = JsonValue(job.min_cores);
   return out;
 }
 
 JournalJob job_from_json(const JsonValue& json) {
   JournalJob job;
-  job.job = static_cast<uint64_t>(get_size(json, "job"));
   job.options = runner::options_from_json(
       require(json, "options", JsonValue::Kind::kObject));
   job.spec_count = get_size(json, "spec_count");
   job.unit_size = get_size(json, "unit_size");
-  job.min_cores = get_size(json, "min_cores");
   if (job.unit_size == 0) {
     throw std::runtime_error("journal job record has unit_size 0");
   }
@@ -68,7 +62,6 @@ JournalJob job_from_json(const JsonValue& json) {
 
 JournalBatch batch_from_json(const JsonValue& json) {
   JournalBatch batch;
-  batch.job = static_cast<uint64_t>(get_size(json, "job"));
   batch.unit.id = get_size(json, "id");
   batch.unit.begin = get_size(json, "begin");
   batch.unit.end = get_size(json, "end");
@@ -144,7 +137,6 @@ JournalWriter JournalWriter::append_to(const std::string& path) {
 void JournalWriter::append_line(const std::string& line) {
   const obs::TraceSpan span("journal_fsync", "dist",
                             {{"bytes", line.size() + 1}});
-  const auto start = std::chrono::steady_clock::now();
   // One write per record: O_APPEND makes the offset atomic, and a crash
   // mid-call tears at most this line — which read_journal drops.
   std::string wire = line;
@@ -164,21 +156,16 @@ void JournalWriter::append_line(const std::string& line) {
   if (::fdatasync(fd_) != 0) {
     throw_errno(fmt("journal '{}' fsync failed", path_));
   }
-  const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - start);
-  obs::service().record("journal.fsync_us",
-                        static_cast<uint64_t>(micros.count()));
 }
 
 void JournalWriter::record_job(const JournalJob& job) {
   append_line(job_to_json(job).dump());
 }
 
-void JournalWriter::record_batch(uint64_t job, const WorkUnit& unit,
+void JournalWriter::record_batch(const WorkUnit& unit,
                                  const std::vector<runner::RunRow>& rows) {
   JsonValue record = JsonValue::object();
   record["record"] = JsonValue("batch");
-  record["job"] = JsonValue(job);
   record["id"] = JsonValue(unit.id);
   record["begin"] = JsonValue(unit.begin);
   record["end"] = JsonValue(unit.end);
@@ -187,13 +174,6 @@ void JournalWriter::record_batch(uint64_t job, const WorkUnit& unit,
     out_rows.push_back(runner::row_to_json(row));
   }
   record["rows"] = std::move(out_rows);
-  append_line(record.dump());
-}
-
-void JournalWriter::record_cancel(uint64_t job) {
-  JsonValue record = JsonValue::object();
-  record["record"] = JsonValue("cancel");
-  record["job"] = JsonValue(job);
   append_line(record.dump());
 }
 
@@ -208,6 +188,7 @@ JournalContents read_journal(const std::string& path) {
 
   JournalContents contents;
   bool have_header = false;
+  bool have_job = false;
   size_t start = 0;
   size_t line_no = 0;
   while (start < text.size()) {
@@ -230,8 +211,9 @@ JournalContents read_journal(const std::string& path) {
         const std::string& format =
             require(json, "format", JsonValue::Kind::kString).as_string();
         if (format != kJournalFormat) {
-          throw std::runtime_error(fmt("unsupported journal format '{}'",
-                                       format));
+          throw std::runtime_error(
+              fmt("unsupported journal format '{}' (expected {})", format,
+                  kJournalFormat));
         }
         contents.header.bind_address =
             require(json, "bind", JsonValue::Kind::kString).as_string();
@@ -239,12 +221,11 @@ JournalContents read_journal(const std::string& path) {
             static_cast<uint16_t>(get_size(json, "port"));
         have_header = true;
       } else if (record == "job") {
-        contents.jobs.push_back(job_from_json(json));
+        if (have_job) throw std::runtime_error("second job record");
+        contents.job = job_from_json(json);
+        have_job = true;
       } else if (record == "batch") {
         contents.batches.push_back(batch_from_json(json));
-      } else if (record == "cancel") {
-        contents.cancelled_jobs.push_back(
-            static_cast<uint64_t>(get_size(json, "job")));
       } else {
         throw std::runtime_error(fmt("unknown record kind '{}'", record));
       }
@@ -259,6 +240,9 @@ JournalContents read_journal(const std::string& path) {
   if (!have_header) {
     throw std::runtime_error(
         fmt("journal '{}' has no {} header record", path, kJournalFormat));
+  }
+  if (!have_job) {
+    throw std::runtime_error(fmt("journal '{}' has no job record", path));
   }
   return contents;
 }

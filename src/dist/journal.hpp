@@ -10,14 +10,15 @@
 // half-overlap rules make replay idempotent), and only unfinished units are
 // re-dispatched.
 //
-// Format ("sb-dist-journal-v1"): a line-oriented append-only file, one JSON
-// record per '\n'-terminated line.
+// Format ("sb-dist-journal-v2"): a line-oriented append-only file, one JSON
+// record per '\n'-terminated line — the header, the one sweep the
+// coordinator serves, then its merged batches in merge order.
 //
-//   {"record":"header","format":"sb-dist-journal-v1","bind":...,"port":N}
-//   {"record":"job","job":J,"options":{...},"spec_count":N,"unit_size":U,
-//    "min_cores":C}
-//   {"record":"batch","job":J,"id":I,"begin":B,"end":E,"rows":[...]}
-//   {"record":"cancel","job":J}
+//   {"record":"header","format":"sb-dist-journal-v2","bind":...,"port":N}
+//   {"record":"job","options":{...},"spec_count":N,"unit_size":U}
+//   {"record":"batch","id":I,"begin":B,"end":E,"rows":[...]}
+//
+// Journals of another format are refused, not migrated.
 //
 // Each record is written with a single write(2) to an O_APPEND fd followed
 // by fdatasync, so a crashed coordinator can tear at most the final line.
@@ -37,7 +38,7 @@
 
 namespace sb::dist {
 
-inline constexpr char kJournalFormat[] = "sb-dist-journal-v1";
+inline constexpr char kJournalFormat[] = "sb-dist-journal-v2";
 
 /// Coordinator identity pinned by the journal: a resumed coordinator
 /// re-binds the same address so disconnected workers find it again.
@@ -46,21 +47,15 @@ struct JournalHeader {
   uint16_t port = 0;
 };
 
-/// One job known to the coordinator (the primary sweep is job 0; client
-/// submissions follow).
+/// The sweep the coordinator serves: its grid and partition.
 struct JournalJob {
-  uint64_t job = 0;
   runner::SweepCliOptions options;
   size_t spec_count = 0;
   size_t unit_size = 1;
-  /// Heterogeneous dispatch floor: units only go to workers whose hello
-  /// announced at least this many cores (0 = any worker).
-  size_t min_cores = 0;
 };
 
 /// One journaled (already merged and durable) result batch.
 struct JournalBatch {
-  uint64_t job = 0;
   WorkUnit unit;
   std::vector<runner::RunRow> rows;
 };
@@ -68,9 +63,8 @@ struct JournalBatch {
 /// Everything a resumed coordinator needs, in append order.
 struct JournalContents {
   JournalHeader header;
-  std::vector<JournalJob> jobs;
+  JournalJob job;
   std::vector<JournalBatch> batches;
-  std::vector<uint64_t> cancelled_jobs;
 };
 
 /// Appends records with per-record write + fdatasync. Not thread-safe; the
@@ -95,9 +89,8 @@ class JournalWriter {
   [[nodiscard]] bool open() const { return fd_ >= 0; }
 
   void record_job(const JournalJob& job);
-  void record_batch(uint64_t job, const WorkUnit& unit,
+  void record_batch(const WorkUnit& unit,
                     const std::vector<runner::RunRow>& rows);
-  void record_cancel(uint64_t job);
 
   void close();
 
@@ -109,8 +102,9 @@ class JournalWriter {
 };
 
 /// Parses a journal file. Throws std::runtime_error when the file is
-/// missing, the header is absent or wrong-format, or a non-final record is
-/// corrupt; a torn final line is silently dropped.
+/// missing, the header is absent or wrong-format, the job record is absent
+/// or repeated, or a non-final record is corrupt; a torn final line is
+/// silently dropped.
 [[nodiscard]] JournalContents read_journal(const std::string& path);
 
 }  // namespace sb::dist

@@ -1,42 +1,20 @@
 #pragma once
-// Wire protocol of the distributed sweep service.
+// Wire protocol of the distributed sweep backend.
 //
-// Coordinator, workers, and clients exchange JSON messages inside the
-// length-prefixed frames of dist/socket.hpp. Workers pull work; clients
-// queue and collect jobs. Version 2 turned the single-grid backend into a
-// job-queue service: every unit/result carries the job it belongs to,
-// hello announces a role plus the machine's cores/memory (heterogeneous
-// dispatch), and clients speak submit/status/fetch/cancel.
+// Coordinator and workers exchange JSON messages inside the length-prefixed
+// frames of dist/socket.hpp. A coordinator serves exactly one sweep grid,
+// and workers pull its work units.
 //
 //   worker                          coordinator
 //   ------                          -----------
-//   hello{v, role=worker, cores}  ->
+//   hello{v, pid}                 ->
 //                                 <- welcome{}
 //   pull{}                        ->
-//                                 <- unit{job, id, begin, end} | stop{}
-//   job_request{job}              ->                  (first unit of a job)
-//                                 <- job{job, options, spec_count}
+//                                 <- unit{id, begin, end} | stop{}
+//   job_request{}                 ->                  (before the first unit)
+//                                 <- job{options, spec_count}
 //   heartbeat{}                   ->                  (while executing)
-//   result{job, unit, rows}       ->
-//
-//   client                          coordinator
-//   ------                          -----------
-//   hello{v, role=client}         ->
-//                                 <- welcome{}
-//   submit{options, unit_size,
-//          min_cores}             ->
-//                                 <- submitted{job, spec_count}
-//   status{job}                   ->
-//                                 <- job_status{job, state, merged, total}
-//   fetch{job}                    ->
-//                                 <- result{job, unit, rows}...   (streamed
-//                                    incrementally as units merge)
-//                                 <- job_done{job, state}
-//   cancel{job}                   ->
-//                                 <- job_status{job, cancelled, ...}
-//   metrics{}                     ->
-//                                 <- metrics_report{metrics}   (service-wide
-//                                    queue/worker/journal metrics snapshot)
+//   result{unit, rows}            ->
 //
 // The job message carries the runner::SweepCliOptions grid description; the
 // worker re-materializes the identical RunSpec list locally (seed forking is
@@ -50,14 +28,13 @@
 
 #include "runner/cli_options.hpp"
 #include "runner/report.hpp"
-#include "util/json.hpp"
 
 namespace sb::dist {
 
 /// Bumped on any incompatible message or semantics change; hello carries it
-/// and the coordinator refuses mismatched peers. 2 = job-queue service
-/// (job-tagged units, roles, client verbs).
-inline constexpr int kProtocolVersion = 2;
+/// and the coordinator refuses mismatched peers. 3 = one sweep per
+/// coordinator, no job ids.
+inline constexpr int kProtocolVersion = 3;
 
 enum class MsgType {
   kHello,
@@ -69,32 +46,13 @@ enum class MsgType {
   kResult,
   kHeartbeat,
   kStop,
-  kSubmit,
-  kSubmitted,
-  kStatus,
-  kJobStatus,
-  kFetch,
-  kJobDone,
-  kCancel,
-  kMetrics,
-  kMetricsReport,
 };
 
 [[nodiscard]] std::string_view to_string(MsgType type);
 
-/// What a connection is for; carried in hello. Workers pull units; clients
-/// queue jobs and are exempt from the worker silence deadline (a client
-/// waiting on a long fetch legitimately sends nothing).
-enum class Role { kWorker, kClient };
-
-/// Lifecycle of a queued job.
-enum class JobState { kRunning, kDone, kCancelled };
-
-[[nodiscard]] std::string_view to_string(JobState state);
-
-/// One contiguous slice [begin, end) of a job's expanded spec list. `id` is
-/// the unit's index in that job's partition — with the job id, the key of
-/// the at-most-once result merge.
+/// One contiguous slice [begin, end) of the sweep's expanded spec list. `id`
+/// is the unit's index in the partition — the key of the at-most-once
+/// result merge.
 struct WorkUnit {
   size_t id = 0;
   size_t begin = 0;
@@ -111,55 +69,25 @@ struct Message {
   // kHello
   int version = kProtocolVersion;
   uint64_t worker_pid = 0;
-  Role role = Role::kWorker;
-  size_t cores = 1;
-  uint64_t memory_mb = 0;
-  // kJob / kSubmit
+  // kJob
   runner::SweepCliOptions options;
-  size_t spec_count = 0;  // also kSubmitted
-  // kSubmit
-  size_t unit_size = 1;
-  size_t min_cores = 0;
-  // kJob / kJobRequest / kUnit / kResult / kSubmitted / kStatus /
-  // kJobStatus / kFetch / kJobDone / kCancel
-  uint64_t job = 0;
+  size_t spec_count = 0;
   // kUnit / kResult
   WorkUnit unit;
   // kResult
   std::vector<runner::RunRow> rows;
-  // kJobStatus / kJobDone
-  JobState state = JobState::kRunning;
-  size_t merged = 0;
-  size_t total = 0;
-  // kMetricsReport: the coordinator's service metrics snapshot (queue
-  // depth, in-flight units, per-worker listing — dist/coordinator.cpp
-  // builds it, docs/OBSERVABILITY.md documents the shape). Carried as an
-  // opaque JSON object so the wire schema can grow without protocol bumps.
-  util::JsonValue metrics;
 
-  [[nodiscard]] static Message hello(uint64_t pid, Role role, size_t cores,
-                                     uint64_t memory_mb);
+  [[nodiscard]] static Message hello(uint64_t pid);
   [[nodiscard]] static Message welcome();
-  [[nodiscard]] static Message job_description(
-      uint64_t job, runner::SweepCliOptions options, size_t spec_count);
-  [[nodiscard]] static Message job_request(uint64_t job);
+  [[nodiscard]] static Message job_description(runner::SweepCliOptions options,
+                                               size_t spec_count);
+  [[nodiscard]] static Message job_request();
   [[nodiscard]] static Message pull();
-  [[nodiscard]] static Message make_unit(uint64_t job, WorkUnit unit);
-  [[nodiscard]] static Message result(uint64_t job, WorkUnit unit,
+  [[nodiscard]] static Message make_unit(WorkUnit unit);
+  [[nodiscard]] static Message result(WorkUnit unit,
                                       std::vector<runner::RunRow> rows);
   [[nodiscard]] static Message heartbeat();
   [[nodiscard]] static Message stop();
-  [[nodiscard]] static Message submit(runner::SweepCliOptions options,
-                                      size_t unit_size, size_t min_cores);
-  [[nodiscard]] static Message submitted(uint64_t job, size_t spec_count);
-  [[nodiscard]] static Message status(uint64_t job);
-  [[nodiscard]] static Message job_status(uint64_t job, JobState state,
-                                          size_t merged, size_t total);
-  [[nodiscard]] static Message fetch(uint64_t job);
-  [[nodiscard]] static Message job_done(uint64_t job, JobState state);
-  [[nodiscard]] static Message cancel(uint64_t job);
-  [[nodiscard]] static Message metrics_request();
-  [[nodiscard]] static Message metrics_report(util::JsonValue metrics);
 };
 
 /// Serializes to the JSON frame payload.

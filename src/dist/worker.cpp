@@ -6,7 +6,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <random>
@@ -62,30 +61,16 @@ class SharedSender {
   std::mutex mu_;
 };
 
-size_t detect_cores() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
-
-uint64_t detect_memory_mb() {
-  const long pages = ::sysconf(_SC_PHYS_PAGES);
-  const long page_size = ::sysconf(_SC_PAGE_SIZE);
-  if (pages <= 0 || page_size <= 0) return 0;
-  return (static_cast<uint64_t>(pages) * static_cast<uint64_t>(page_size)) >>
-         20;
-}
-
 /// The whole worker state machine; a thin struct so the reconnect loop,
-/// session loop, and per-job caches can share state without a parameter
+/// session loop, and spec cache can share state without a parameter
 /// parade. One instance per Worker::run call.
 struct WorkerLoop {
   const Worker::Options& options;
-  size_t cores;
-  uint64_t memory_mb;
 
-  /// Expanded spec lists per job, kept across reconnects (job descriptions
-  /// are immutable once announced).
-  std::map<uint64_t, std::vector<runner::RunSpec>> jobs;
+  /// The sweep's expanded spec list, kept across reconnects (a resumed
+  /// coordinator serves the journaled grid, so the description never
+  /// changes).
+  std::optional<std::vector<runner::RunSpec>> specs;
   /// A result the coordinator has not provably processed yet. Set before
   /// every send, redelivered after a reconnect, and cleared as soon as any
   /// later frame arrives on the same connection — TCP ordering guarantees
@@ -98,11 +83,7 @@ struct WorkerLoop {
   bool session_established = false;
   std::mt19937 jitter_rng{std::random_device{}()};
 
-  explicit WorkerLoop(const Worker::Options& opts)
-      : options(opts),
-        cores(opts.cores != 0 ? opts.cores : detect_cores()),
-        memory_mb(opts.memory_mb != 0 ? opts.memory_mb
-                                      : detect_memory_mb()) {}
+  explicit WorkerLoop(const Worker::Options& opts) : options(opts) {}
 
   void log(const std::string& line) const {
     if (options.verbose) {
@@ -119,37 +100,34 @@ struct WorkerLoop {
     return decode(frame.payload);
   }
 
-  /// The expanded specs of `job_id`, fetching the description from the
-  /// coordinator on first encounter. Returns nullptr if a stop message
-  /// arrives instead (service winding down).
-  std::vector<runner::RunSpec>* specs_for(Socket& socket,
-                                          SharedSender& sender,
-                                          uint64_t job_id) {
-    const auto cached = jobs.find(job_id);
-    if (cached != jobs.end()) return &cached->second;
-    sender.send(Message::job_request(job_id));
+  /// The sweep's expanded specs, fetching the description from the
+  /// coordinator on first use. Returns nullptr if a stop message arrives
+  /// instead (the sweep completed meanwhile).
+  const std::vector<runner::RunSpec>* load_specs(Socket& socket,
+                                                 SharedSender& sender) {
+    if (specs.has_value()) return &*specs;
+    sender.send(Message::job_request());
     const Message reply = recv_message(socket);
     pending_result.reset();  // any frame acknowledges an earlier result
     if (reply.type == MsgType::kStop) return nullptr;
-    if (reply.type != MsgType::kJob || reply.job != job_id) {
-      throw std::runtime_error(fmt("expected the description of job {}, "
-                                   "got '{}'",
-                                   job_id, to_string(reply.type)));
+    if (reply.type != MsgType::kJob) {
+      throw std::runtime_error(fmt("expected the job description, got '{}'",
+                                   to_string(reply.type)));
     }
     // Re-materialize the grid locally; only the option struct crossed the
     // wire. The spec count must agree with the coordinator's expansion or
     // the two sides would silently disagree about what unit [begin, end)
     // means (e.g. a .surf scenario file differing between machines).
-    std::vector<runner::RunSpec> specs =
+    std::vector<runner::RunSpec> expanded =
         runner::expand(runner::make_sweep_grid(reply.options));
-    if (specs.size() != reply.spec_count) {
+    if (expanded.size() != reply.spec_count) {
       throw std::runtime_error(
-          fmt("grid expansion mismatch for job {}: coordinator announced "
-              "{} specs, local expansion has {}",
-              job_id, reply.spec_count, specs.size()));
+          fmt("grid expansion mismatch: coordinator announced {} specs, "
+              "local expansion has {}",
+              reply.spec_count, expanded.size()));
     }
-    log(fmt("job {} description cached ({} specs)", job_id, specs.size()));
-    return &jobs.emplace(job_id, std::move(specs)).first->second;
+    log(fmt("job description cached ({} specs)", expanded.size()));
+    return &specs.emplace(std::move(expanded));
   }
 
   /// One connection's lifetime: handshake, then pull/execute/report until
@@ -158,8 +136,7 @@ struct WorkerLoop {
     Socket socket =
         Socket::connect_to(options.host, options.port, connect_timeout_ms);
     SharedSender sender(socket);
-    sender.send(Message::hello(static_cast<uint64_t>(::getpid()),
-                               Role::kWorker, cores, memory_mb));
+    sender.send(Message::hello(static_cast<uint64_t>(::getpid())));
     const RecvResult first = socket.recv_frame(options.connect_timeout_ms);
     if (first.status != RecvStatus::kFrame) {
       throw std::runtime_error("coordinator vanished during the handshake");
@@ -172,8 +149,7 @@ struct WorkerLoop {
       obs::TraceWriter::instance().set_thread_name(
           fmt("worker-{}", static_cast<int>(::getpid())));
     }
-    log(fmt("connected to {}:{} ({} cores, {} MB announced)", options.host,
-            options.port, cores, memory_mb));
+    log(fmt("connected to {}:{}", options.host, options.port));
 
     // Liveness heartbeats, sent for the whole session so the coordinator
     // can tell "still crunching a big unit" from "dead".
@@ -208,8 +184,7 @@ struct WorkerLoop {
         // sent but before anything proved the coordinator processed it.
         // At worst it merged already and this copy is dropped as a
         // duplicate.
-        log(fmt("redelivering result for job {} unit {}",
-                pending_result->job, pending_result->unit.id));
+        log(fmt("redelivering result for unit {}", pending_result->unit.id));
         sender.send(*pending_result);
       }
       for (;;) {
@@ -228,18 +203,17 @@ struct WorkerLoop {
           throw std::runtime_error(fmt("expected unit or stop, got '{}'",
                                        to_string(message.type)));
         }
-        const std::vector<runner::RunSpec>* specs =
-            specs_for(socket, sender, message.job);
-        if (specs == nullptr) {
-          log(fmt("stop received while fetching job {}", message.job));
+        const std::vector<runner::RunSpec>* grid = load_specs(socket, sender);
+        if (grid == nullptr) {
+          log("stop received while fetching the job description");
           stop_heartbeat();
           return Worker::kExitOk;
         }
         const WorkUnit unit = message.unit;
-        if (unit.end > specs->size() || unit.begin >= unit.end) {
+        if (unit.end > grid->size() || unit.begin >= unit.end) {
           throw std::runtime_error(
-              fmt("unit [{}, {}) outside the {}-spec grid of job {}",
-                  unit.begin, unit.end, specs->size(), message.job));
+              fmt("unit [{}, {}) outside the {}-spec grid", unit.begin,
+                  unit.end, grid->size()));
         }
         if (units_completed >= options.abandon_after_units) {
           // Fault injection: die holding an assigned unit, mid-sweep,
@@ -256,16 +230,15 @@ struct WorkerLoop {
         std::vector<runner::RunRow> rows;
         rows.reserve(unit.size());
         {
-          const obs::TraceSpan span(
-              "unit", "dist", {{"job", message.job}, {"unit", unit.id}});
+          const obs::TraceSpan span("unit", "dist", {{"unit", unit.id}});
           for (size_t index = unit.begin; index < unit.end; ++index) {
-            rows.push_back(runner::execute_run((*specs)[index],
+            rows.push_back(runner::execute_run((*grid)[index],
                                                /*capture_trace=*/false,
                                                options.shard_threads)
                                .row);
           }
         }
-        Message result = Message::result(message.job, unit, std::move(rows));
+        Message result = Message::result(unit, std::move(rows));
         // Remember the result before any bytes hit the wire: a connection
         // that dies anywhere past this point redelivers.
         pending_result = result;

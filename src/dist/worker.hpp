@@ -1,6 +1,6 @@
 #pragma once
-// Distributed sweep worker: connects to a coordinator, re-materializes each
-// job's sweep grid from its description, and executes pulled work units via
+// Distributed sweep worker: connects to a coordinator, re-materializes its
+// sweep grid from the job description, and executes pulled work units via
 // runner::execute_run, streaming RunRow batches back.
 //
 // A worker is stateless between units — any unit can run on any worker in
@@ -50,11 +50,6 @@ class Worker {
     /// 5 s) with uniform jitter in [delay/2, delay] so a whole fleet does
     /// not stampede a freshly resumed coordinator.
     int reconnect_base_ms = 100;
-    /// Cores announced in hello for heterogeneous dispatch; 0 = detect via
-    /// hardware_concurrency.
-    size_t cores = 0;
-    /// Memory announced in hello; 0 = detect from sysconf.
-    uint64_t memory_mb = 0;
     /// Shard-thread override passed to execute_run; 0 keeps each spec's own
     /// value. Row values are shard_threads-independent (proven by the
     /// determinism suite), so a big box may raise this freely.

@@ -1,33 +1,8 @@
 #include "obs/metrics.hpp"
 
 #include <bit>
-#include <cmath>
-#include <cstdio>
-#include <limits>
 
 namespace sb::obs {
-
-namespace {
-
-// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. The registry uses
-// dotted names ("journal.fsync_us"); flatten the separators.
-std::string prometheus_name(const std::string& name) {
-  std::string out = "sb_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
-}  // namespace
 
 void Histogram::merge(const Histogram& other) {
   for (size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
@@ -35,76 +10,9 @@ void Histogram::merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-double Histogram::mean() const {
-  if (count_ == 0) return 0.0;
-  return static_cast<double>(sum_) / static_cast<double>(count_);
-}
-
-uint64_t Histogram::quantile_bound(double q) const {
-  if (count_ == 0) return 0;
-  const double target = q * static_cast<double>(count_);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (static_cast<double>(seen) >= target) return bucket_limit(i);
-  }
-  return bucket_limit(kBuckets - 1);
-}
-
 size_t Histogram::bucket_of(uint64_t value) {
   if (value == 0) return 0;
   return static_cast<size_t>(std::bit_width(value));
-}
-
-uint64_t Histogram::bucket_limit(size_t index) {
-  if (index == 0) return 0;
-  if (index >= 64) return std::numeric_limits<uint64_t>::max();
-  return (uint64_t{1} << index) - 1;
-}
-
-util::JsonValue Histogram::to_json() const {
-  // Counts ride as hex strings: the JSON number type is a double and bucket
-  // counts must stay exact for the byte-identical-merge guarantee.
-  util::JsonValue json = util::JsonValue::object();
-  json["count"] = util::hex_u64(count_);
-  json["sum"] = util::hex_u64(sum_);
-  size_t last = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    if (buckets_[i] != 0) last = i + 1;
-  }
-  util::JsonValue buckets = util::JsonValue::array();
-  for (size_t i = 0; i < last; ++i) {
-    buckets.push_back(util::hex_u64(buckets_[i]));
-  }
-  json["buckets"] = std::move(buckets);
-  return json;
-}
-
-Histogram Histogram::from_json(const util::JsonValue& json) {
-  Histogram h;
-  if (const util::JsonValue* count = json.find("count")) {
-    h.count_ = util::parse_u64(count->as_string());
-  }
-  if (const util::JsonValue* sum = json.find("sum")) {
-    h.sum_ = util::parse_u64(sum->as_string());
-  }
-  if (const util::JsonValue* buckets = json.find("buckets")) {
-    const util::JsonValue::Array& array = buckets->as_array();
-    for (size_t i = 0; i < array.size() && i < kBuckets; ++i) {
-      h.buckets_[i] = util::parse_u64(array[i].as_string());
-    }
-  }
-  return h;
-}
-
-uint64_t Registry::counter(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-double Registry::gauge(const std::string& name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
 }
 
 const Histogram* Registry::histogram(const std::string& name) const {
@@ -113,92 +21,11 @@ const Histogram* Registry::histogram(const std::string& name) const {
 }
 
 void Registry::merge(const Registry& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-  for (const auto& [name, value] : other.gauges_) gauges_[name] = value;
   for (const auto& [name, hist] : other.histograms_) {
     histograms_[name].merge(hist);
   }
 }
 
-void Registry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
-util::JsonValue Registry::to_json() const {
-  util::JsonValue json = util::JsonValue::object();
-  util::JsonValue counters = util::JsonValue::object();
-  for (const auto& [name, value] : counters_) {
-    counters[name] = util::hex_u64(value);
-  }
-  json["counters"] = std::move(counters);
-  util::JsonValue gauges = util::JsonValue::object();
-  for (const auto& [name, value] : gauges_) gauges[name] = value;
-  json["gauges"] = std::move(gauges);
-  util::JsonValue histograms = util::JsonValue::object();
-  for (const auto& [name, hist] : histograms_) {
-    histograms[name] = hist.to_json();
-  }
-  json["histograms"] = std::move(histograms);
-  return json;
-}
-
-Registry Registry::from_json(const util::JsonValue& json) {
-  Registry registry;
-  if (const util::JsonValue* counters = json.find("counters")) {
-    for (const auto& [name, value] : counters->as_object()) {
-      registry.counters_[name] = util::parse_u64(value.as_string());
-    }
-  }
-  if (const util::JsonValue* gauges = json.find("gauges")) {
-    for (const auto& [name, value] : gauges->as_object()) {
-      registry.gauges_[name] = value.as_number();
-    }
-  }
-  if (const util::JsonValue* histograms = json.find("histograms")) {
-    for (const auto& [name, value] : histograms->as_object()) {
-      registry.histograms_[name] = Histogram::from_json(value);
-    }
-  }
-  return registry;
-}
-
-std::string Registry::to_prometheus() const {
-  std::string out;
-  for (const auto& [name, value] : counters_) {
-    const std::string metric = prometheus_name(name);
-    out += "# TYPE " + metric + " counter\n";
-    out += metric + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : gauges_) {
-    const std::string metric = prometheus_name(name);
-    out += "# TYPE " + metric + " gauge\n";
-    out += metric + " " + format_double(value) + "\n";
-  }
-  for (const auto& [name, hist] : histograms_) {
-    const std::string metric = prometheus_name(name);
-    out += "# TYPE " + metric + " histogram\n";
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-      cumulative += hist.bucket(i);
-      if (hist.bucket(i) == 0 && i + 1 < Histogram::kBuckets) continue;
-      const std::string le =
-          i + 1 < Histogram::kBuckets
-              ? std::to_string(Histogram::bucket_limit(i))
-              : std::string("+Inf");
-      out += metric + "_bucket{le=\"" + le + "\"} " +
-             std::to_string(cumulative) + "\n";
-    }
-    out += metric + "_sum " + std::to_string(hist.sum()) + "\n";
-    out += metric + "_count " + std::to_string(hist.count()) + "\n";
-  }
-  return out;
-}
-
-SharedRegistry& service() {
-  static SharedRegistry instance;
-  return instance;
-}
+void Registry::clear() { histograms_.clear(); }
 
 }  // namespace sb::obs

@@ -1,22 +1,17 @@
 #pragma once
-// Metrics registry: named counters, gauges, and log2-bucketed histograms.
+// Metrics registry: named log2-bucketed histograms.
 //
-// The concurrency model is ownership, not locking: each shard worker (and
-// each dist service thread behind SharedRegistry) records into a private
-// Registry with zero synchronization, and owners merge snapshots at natural
-// rendezvous points (the shard engine's fold barrier, the coordinator's
-// state mutex). Registries serialize deterministically — std::map keys give
-// a stable iteration order and merge is commutative for counters and
-// histograms — so a merged snapshot is identical regardless of worker count
-// or merge order (tests/obs_test.cpp pins this).
+// The concurrency model is ownership, not locking: each shard worker
+// records into a private Registry with zero synchronization, and the shard
+// engine merges the workers' registries at its rendezvous. std::map keys
+// give a stable iteration order and merge is commutative, so a merged
+// registry is identical regardless of worker count or merge order
+// (tests/obs_test.cpp pins this).
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-
-#include "util/json.hpp"
 
 namespace sb::obs {
 
@@ -39,18 +34,9 @@ class Histogram {
   [[nodiscard]] uint64_t count() const { return count_; }
   [[nodiscard]] uint64_t sum() const { return sum_; }
   [[nodiscard]] uint64_t bucket(size_t index) const { return buckets_[index]; }
-  [[nodiscard]] double mean() const;
-  /// Upper bound (inclusive) of the value at the given cumulative quantile
-  /// (0 < q <= 1), e.g. 0.5 or 0.95. Returns 0 on an empty histogram.
-  [[nodiscard]] uint64_t quantile_bound(double q) const;
 
   /// Bucket index for a sample: 0 for 0, otherwise bit_width(value).
   [[nodiscard]] static size_t bucket_of(uint64_t value);
-  /// Largest value the bucket admits (inclusive): 0, 2^k - 1, ..., u64-max.
-  [[nodiscard]] static uint64_t bucket_limit(size_t index);
-
-  [[nodiscard]] util::JsonValue to_json() const;
-  [[nodiscard]] static Histogram from_json(const util::JsonValue& json);
 
  private:
   uint64_t buckets_[kBuckets] = {};
@@ -58,21 +44,10 @@ class Histogram {
   uint64_t sum_ = 0;
 };
 
-/// Named counters, gauges, and histograms. A plain single-writer object: no
-/// internal locking. Merge adds counters, merges histograms bucket-wise,
-/// and lets the later gauge win (gauges are point-in-time readings; the
-/// deterministic-merge guarantee covers counters and histograms).
+/// Named histograms. A plain single-writer object: no internal locking.
+/// Merge adds histograms bucket-wise.
 class Registry {
  public:
-  void add(const std::string& name, uint64_t delta = 1) {
-    counters_[name] += delta;
-  }
-  void set_gauge(const std::string& name, double value) {
-    gauges_[name] = value;
-  }
-  void record(const std::string& name, uint64_t sample) {
-    histograms_[name].record(sample);
-  }
   /// Mutable histogram handle for hot loops: the reference stays valid
   /// until clear() (std::map nodes are address-stable), so callers can
   /// look the name up once and record without per-sample lookups.
@@ -80,75 +55,14 @@ class Registry {
     return histograms_[name];
   }
 
-  /// 0 / nullptr when the name was never recorded.
-  [[nodiscard]] uint64_t counter(const std::string& name) const;
-  [[nodiscard]] double gauge(const std::string& name) const;
+  /// nullptr when the name was never recorded.
   [[nodiscard]] const Histogram* histogram(const std::string& name) const;
 
   void merge(const Registry& other);
   void clear();
-  [[nodiscard]] bool empty() const {
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
-  }
-
-  [[nodiscard]] const std::map<std::string, uint64_t>& counters() const {
-    return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, double>& gauges() const {
-    return gauges_;
-  }
-  [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
-
-  [[nodiscard]] util::JsonValue to_json() const;
-  [[nodiscard]] static Registry from_json(const util::JsonValue& json);
-
-  /// Prometheus text exposition format: names are prefixed "sb_", dots and
-  /// dashes become underscores, histograms expand to cumulative le-labeled
-  /// buckets plus _sum and _count (docs/OBSERVABILITY.md shows a sample).
-  [[nodiscard]] std::string to_prometheus() const;
 
  private:
-  std::map<std::string, uint64_t> counters_;
-  std::map<std::string, double> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
-
-/// Mutex-guarded registry for low-rate events recorded from several threads
-/// (journal fsyncs, reassignments, chaos hits). Hot paths should own a
-/// private Registry instead.
-class SharedRegistry {
- public:
-  void add(const std::string& name, uint64_t delta = 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    registry_.add(name, delta);
-  }
-  void set_gauge(const std::string& name, double value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    registry_.set_gauge(name, value);
-  }
-  void record(const std::string& name, uint64_t sample) {
-    std::lock_guard<std::mutex> lock(mu_);
-    registry_.record(name, sample);
-  }
-  [[nodiscard]] Registry snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return registry_;
-  }
-  void reset_for_tests() {
-    std::lock_guard<std::mutex> lock(mu_);
-    registry_.clear();
-  }
-
- private:
-  mutable std::mutex mu_;
-  Registry registry_;
-};
-
-/// Process-wide service registry used by the dist layer (coordinator event
-/// counters, journal fsync latency). The coordinator folds a snapshot of it
-/// into every `metrics` reply.
-SharedRegistry& service();
 
 }  // namespace sb::obs

@@ -45,12 +45,6 @@ class ResultMerger {
     return index < filled_.size() && filled_[index];
   }
 
-  /// The merged row at spec index `index`; call only when has(index).
-  /// Lets the coordinator stream results (fetch) before the job completes.
-  [[nodiscard]] const RunRow& row(size_t index) const {
-    return rows_[index];
-  }
-
   /// The merged rows in spec order. Call only when complete().
   [[nodiscard]] std::vector<RunRow> take_rows();
 

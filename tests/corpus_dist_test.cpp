@@ -44,10 +44,12 @@ TEST(CorpusDist, EveryCaseScenarioMatchesLocalThroughSpawnedFleet) {
   options.dist_workers = 2;
   options.dist_worker_binary =
       std::string(SMARTBLOCKS_BIN_DIR) + "/sweep_worker";
-  // Sanitizer builds (ASan Debug especially) take minutes per run on the
-  // heavy corpus cases; the default 60 s coordinator backstop would read as
-  // a spurious timeout divergence. This is a correctness suite, not a
-  // latency gate, so give each case ten minutes.
+  // Each leg replays the case's own event budget (FuzzCase::max_events),
+  // so a run takes well under a second in a release build. Sanitizer
+  // builds (ASan Debug especially) are many times slower, and the default
+  // 60 s coordinator backstop must not read as a spurious timeout
+  // divergence there. This is a correctness suite, not a latency gate, so
+  // give each case ten minutes.
   options.dist_total_timeout_ms = 600000;
 
   size_t replayed = 0;

@@ -1,7 +1,7 @@
-// Resilience suite for the distributed sweep service: the write-ahead
+// Resilience suite for the distributed sweep backend: the write-ahead
 // result journal, coordinator kill + `sweep --resume`, worker reconnect
-// with in-flight result redelivery, the job-queue client verbs, and the
-// clean-failure satellites (occupied bind port, dead coordinator host).
+// with in-flight result redelivery, and the clean-failure satellites
+// (occupied bind port, dead coordinator host).
 //
 // The acceptance bar is the same byte-identity contract as dist_test.cpp:
 // whatever the chaos schedule does to the fleet, the merged timing-scrubbed
@@ -28,12 +28,10 @@
 #include <vector>
 
 #include "dist/chaos.hpp"
-#include "dist/client.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/journal.hpp"
 #include "dist/socket.hpp"
 #include "dist/worker.hpp"
-#include "obs/metrics.hpp"
 #include "runner/cli_options.hpp"
 #include "runner/sweep.hpp"
 #include "util/fmt.hpp"
@@ -157,29 +155,18 @@ TEST(Journal, RecordsRoundTrip) {
   {
     JournalWriter writer =
         JournalWriter::create(path, {"0.0.0.0", 4242});
-    JournalJob job;
-    job.job = 3;
-    job.options = small_grid(6);
-    job.spec_count = 6;
-    job.unit_size = 2;
-    job.min_cores = 4;
-    writer.record_job(job);
-    writer.record_batch(3, {1, 2, 4}, rows_for(2, 2));
-    writer.record_cancel(3);
+    writer.record_job({small_grid(6), 6, 2});
+    writer.record_batch({1, 2, 4}, rows_for(2, 2));
   }
   const JournalContents contents = read_journal(path);
   EXPECT_EQ(contents.header.bind_address, "0.0.0.0");
   EXPECT_EQ(contents.header.port, 4242);
-  ASSERT_EQ(contents.jobs.size(), 1u);
-  EXPECT_EQ(contents.jobs[0].job, 3u);
-  EXPECT_EQ(contents.jobs[0].options.scenarios,
+  EXPECT_EQ(contents.job.options.scenarios,
             std::vector<std::string>{"tower16"});
-  EXPECT_EQ(contents.jobs[0].options.latency, "uniform");
-  EXPECT_EQ(contents.jobs[0].spec_count, 6u);
-  EXPECT_EQ(contents.jobs[0].unit_size, 2u);
-  EXPECT_EQ(contents.jobs[0].min_cores, 4u);
+  EXPECT_EQ(contents.job.options.latency, "uniform");
+  EXPECT_EQ(contents.job.spec_count, 6u);
+  EXPECT_EQ(contents.job.unit_size, 2u);
   ASSERT_EQ(contents.batches.size(), 1u);
-  EXPECT_EQ(contents.batches[0].job, 3u);
   EXPECT_EQ(contents.batches[0].unit, (WorkUnit{1, 2, 4}));
   ASSERT_EQ(contents.batches[0].rows.size(), 2u);
   // Bit-exact round trips — the byte-identity of resumed reports rests on
@@ -188,7 +175,6 @@ TEST(Journal, RecordsRoundTrip) {
   EXPECT_EQ(contents.batches[0].rows[0].events_per_sec,
             sample_row(2).events_per_sec);
   EXPECT_EQ(contents.batches[0].rows[1].sim_ticks, sample_row(3).sim_ticks);
-  EXPECT_EQ(contents.cancelled_jobs, std::vector<uint64_t>{3});
 }
 
 TEST(Journal, TornFinalLineIsDropped) {
@@ -196,13 +182,9 @@ TEST(Journal, TornFinalLineIsDropped) {
   const std::string path = tmp.make("torn.journal");
   {
     JournalWriter writer = JournalWriter::create(path, {});
-    JournalJob job;
-    job.job = 0;
-    job.options = small_grid(4);
-    job.spec_count = 4;
-    writer.record_job(job);
-    writer.record_batch(0, {0, 0, 2}, rows_for(0, 2));
-    writer.record_batch(0, {1, 2, 4}, rows_for(2, 2));
+    writer.record_job({small_grid(4), 4, 2});
+    writer.record_batch({0, 0, 2}, rows_for(0, 2));
+    writer.record_batch({1, 2, 4}, rows_for(2, 2));
   }
   // A crash mid-write tears at most the final line: truncate the file to
   // cut the last record in half.
@@ -215,10 +197,15 @@ TEST(Journal, TornFinalLineIsDropped) {
   // An unterminated-but-parseable tail is equally untrusted: without the
   // '\n' commit marker the write may not have been the whole record.
   {
-    std::ofstream out(path, std::ios::app);
-    out << R"({"record": "cancel", "job": 0})";  // no newline
+    const std::string text = read_file(path);
+    const size_t first_batch = text.find(R"({"record": "batch")");
+    ASSERT_NE(first_batch, std::string::npos);
+    const size_t end = text.find('\n', first_batch);
+    std::ofstream out(path, std::ios::trunc);
+    out << text.substr(0, end + 1)
+        << text.substr(first_batch, end - first_batch);  // no newline
   }
-  EXPECT_TRUE(read_journal(path).cancelled_jobs.empty());
+  EXPECT_EQ(read_journal(path).batches.size(), 1u);
 }
 
 TEST(Journal, MidFileCorruptionThrows) {
@@ -226,11 +213,7 @@ TEST(Journal, MidFileCorruptionThrows) {
   const std::string path = tmp.make("corrupt.journal");
   {
     JournalWriter writer = JournalWriter::create(path, {});
-    JournalJob job;
-    job.job = 0;
-    job.options = small_grid(4);
-    job.spec_count = 4;
-    writer.record_job(job);
+    writer.record_job({small_grid(4), 4, 1});
   }
   std::string text = read_file(path);
   {
@@ -251,8 +234,37 @@ TEST(Journal, MissingFileOrHeaderThrows) {
                std::runtime_error);
   const std::string path = tmp.make("headerless.journal");
   {
-    std::ofstream out(path);
-    out << R"({"record": "cancel", "job": 0})" << "\n";
+    JournalWriter writer = JournalWriter::create(path, {});
+    writer.record_job({small_grid(4), 4, 1});
+  }
+  const std::string text = read_file(path);
+  const std::string records = text.substr(text.find('\n') + 1);
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << records;
+  }
+  EXPECT_THROW(read_journal(path), std::runtime_error);
+
+  // A v1 journal is refused with a message naming the expected format.
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << R"({"record": "header", "format": "sb-dist-journal-v1", )"
+        << R"("bind": "127.0.0.1", "port": 7777})" << "\n"
+        << records;
+  }
+  try {
+    (void)read_journal(path);
+    ADD_FAILURE() << "a v1 journal must not parse";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(kJournalFormat), std::string::npos)
+        << error.what();
+  }
+
+  // So is a header-only journal: without the job record there is no sweep
+  // to resume.
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text.substr(0, text.find('\n') + 1);
   }
   EXPECT_THROW(read_journal(path), std::runtime_error);
 }
@@ -350,179 +362,6 @@ TEST(Resilience, ReconnectGivesUpAfterTheWindow) {
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
   EXPECT_LT(elapsed.count(), 10000) << "the window must bound the retries";
-}
-
-// ---------------------------------------------------------------------------
-// Job-queue service (submit / status / fetch / cancel, heterogeneous
-// dispatch)
-// ---------------------------------------------------------------------------
-
-/// A service-mode coordinator plus its run() thread; shutdown on scope
-/// exit keeps gtest failures from deadlocking the suite.
-struct Service {
-  Coordinator coordinator;
-  std::thread runner;
-  explicit Service(Coordinator::Options copts = make_options())
-      : coordinator(copts),
-        runner([this] { (void)coordinator.run(); }) {}
-  static Coordinator::Options make_options() {
-    Coordinator::Options copts;
-    copts.serve = true;
-    return copts;
-  }
-  ~Service() {
-    coordinator.shutdown();
-    runner.join();
-  }
-};
-
-TEST(JobQueue, SubmitStatusFetchRoundTrip) {
-  Service service;
-  Worker::Options wopts;
-  wopts.port = service.coordinator.port();
-  wopts.heartbeat_ms = 50;
-  int code = -1;
-  std::thread worker([&] { code = Worker(wopts).run(); });
-
-  const runner::SweepCliOptions grid = small_grid(6);
-  Client client({.host = "127.0.0.1", .port = service.coordinator.port()});
-  const uint64_t job = client.submit(grid, /*unit_size=*/2);
-  EXPECT_GE(job, 1u);
-  EXPECT_EQ(client.describe(job).scenarios, grid.scenarios);
-
-  // fetch blocks until done, streaming batches as units merge.
-  const std::vector<runner::RunRow> rows = client.fetch(job);
-  EXPECT_EQ(report_text(grid, rows), local_report_text(grid));
-
-  const Client::JobStatus status = client.status(job);
-  EXPECT_EQ(status.state, JobState::kDone);
-  EXPECT_EQ(status.merged, 6u);
-  EXPECT_EQ(status.total, 6u);
-
-  service.coordinator.shutdown();  // releases the worker with a stop
-  worker.join();
-  EXPECT_EQ(code, Worker::kExitOk);
-}
-
-TEST(JobQueue, TwoClientsInterleaveAndCancelWorks) {
-  Service service;
-  Worker::Options wopts;
-  wopts.port = service.coordinator.port();
-  wopts.heartbeat_ms = 50;
-  int code = -1;
-  std::thread worker([&] { code = Worker(wopts).run(); });
-
-  Client submitter({.host = "127.0.0.1",
-                    .port = service.coordinator.port()});
-  Client other({.host = "127.0.0.1", .port = service.coordinator.port()});
-  const uint64_t keep = submitter.submit(small_grid(4));
-  const uint64_t doomed = other.submit(small_grid(40));
-  EXPECT_NE(keep, doomed);
-
-  EXPECT_EQ(other.cancel(doomed).state, JobState::kCancelled);
-  EXPECT_EQ(other.cancel(doomed).state, JobState::kCancelled);  // idempotent
-  EXPECT_THROW((void)other.fetch(doomed), std::runtime_error);
-
-  // The surviving job, fetched by the *other* client (describe() carries
-  // the grid across), still completes and matches local.
-  const runner::SweepCliOptions grid = other.describe(keep);
-  EXPECT_EQ(report_text(grid, other.fetch(keep)), local_report_text(grid));
-
-  service.coordinator.shutdown();
-  worker.join();
-  EXPECT_EQ(code, Worker::kExitOk);
-}
-
-TEST(JobQueue, MinCoresGatesDispatchToBigWorkers) {
-  Service service;
-  // A 2-core worker sits idle against a min_cores=8 job...
-  Worker::Options small;
-  small.port = service.coordinator.port();
-  small.heartbeat_ms = 50;
-  small.cores = 2;
-  int small_code = -1;
-  std::thread small_worker([&] { small_code = Worker(small).run(); });
-
-  Client client({.host = "127.0.0.1", .port = service.coordinator.port()});
-  const runner::SweepCliOptions grid = small_grid(4);
-  const uint64_t job = client.submit(grid, /*unit_size=*/1, /*min_cores=*/8);
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  const Client::JobStatus starved = client.status(job);
-  EXPECT_EQ(starved.state, JobState::kRunning);
-  EXPECT_EQ(starved.merged, 0u)
-      << "a 2-core worker must never receive min_cores=8 units";
-
-  // ...until an 8-core worker joins the fleet.
-  Worker::Options big = small;
-  big.cores = 8;
-  int big_code = -1;
-  std::thread big_worker([&] { big_code = Worker(big).run(); });
-  EXPECT_EQ(report_text(grid, client.fetch(job)), local_report_text(grid));
-
-  service.coordinator.shutdown();
-  small_worker.join();
-  big_worker.join();
-  EXPECT_EQ(small_code, Worker::kExitOk);
-  EXPECT_EQ(big_code, Worker::kExitOk);
-}
-
-TEST(JobQueue, MetricsVerbReportsQueueAndWorkerVitals) {
-  obs::service().reset_for_tests();
-  Service service;
-  Worker::Options wopts;
-  wopts.port = service.coordinator.port();
-  wopts.heartbeat_ms = 50;
-  wopts.cores = 4;
-  wopts.memory_mb = 2048;
-  int code = -1;
-  std::thread worker([&] { code = Worker(wopts).run(); });
-
-  Client client({.host = "127.0.0.1", .port = service.coordinator.port()});
-  const runner::SweepCliOptions grid = small_grid(4);
-  const uint64_t job = client.submit(grid);
-  (void)client.fetch(job);  // drains the queue; every unit dispatched
-
-  const util::JsonValue reply = client.metrics();
-  const util::JsonValue* gauges = reply.find_path({"metrics", "gauges"});
-  ASSERT_NE(gauges, nullptr);
-  ASSERT_NE(gauges->find("coord.queue_depth"), nullptr);
-  EXPECT_EQ(gauges->find("coord.queue_depth")->as_number(), 0.0);
-  ASSERT_NE(gauges->find("coord.in_flight"), nullptr);
-  EXPECT_EQ(gauges->find("coord.in_flight")->as_number(), 0.0);
-  ASSERT_NE(gauges->find("coord.workers_connected"), nullptr);
-  EXPECT_EQ(gauges->find("coord.workers_connected")->as_number(), 1.0);
-
-  const util::JsonValue* counters = reply.find_path({"metrics", "counters"});
-  ASSERT_NE(counters, nullptr);
-  const util::JsonValue* dispatched =
-      counters->find("coord.units_dispatched");
-  ASSERT_NE(dispatched, nullptr);
-  EXPECT_EQ(util::parse_u64(dispatched->as_string()), 4u);
-
-  // The hello's capability announcement must surface in the listing, and
-  // the 50 ms heartbeats must have landed in the gap histogram.
-  const util::JsonValue* workers = reply.find("workers");
-  ASSERT_NE(workers, nullptr);
-  ASSERT_EQ(workers->size(), 1u);
-  const util::JsonValue& vitals = workers->as_array()[0];
-  EXPECT_EQ(vitals.find("cores")->as_number(), 4.0);
-  EXPECT_EQ(vitals.find("memory_mb")->as_number(), 2048.0);
-  EXPECT_TRUE(vitals.find("connected")->as_bool());
-  EXPECT_EQ(vitals.find("units_dispatched")->as_number(), 4.0);
-  EXPECT_EQ(vitals.find("results_merged")->as_number(), 4.0);
-  ASSERT_NE(vitals.find("heartbeat_gap_ms"), nullptr);
-  ASSERT_NE(vitals.find("heartbeat_gap_p95_ms"), nullptr);
-
-  // The snapshot must rebuild into a Registry (the --metrics-out path) and
-  // render Prometheus text naming the queue gauge.
-  const obs::Registry registry =
-      obs::Registry::from_json(*reply.find("metrics"));
-  EXPECT_NE(registry.to_prometheus().find("sb_coord_queue_depth"),
-            std::string::npos);
-
-  service.coordinator.shutdown();
-  worker.join();
-  EXPECT_EQ(code, Worker::kExitOk);
 }
 
 // ---------------------------------------------------------------------------

@@ -121,77 +121,36 @@ TEST(WireSerialization, MissingFieldsThrow) {
 // ---------------------------------------------------------------------------
 
 TEST(Protocol, MessagesRoundTrip) {
-  const Message hello =
-      decode(encode(Message::hello(1234, Role::kWorker, 16, 64000)));
+  const Message hello = decode(encode(Message::hello(1234)));
   EXPECT_EQ(hello.type, MsgType::kHello);
   EXPECT_EQ(hello.worker_pid, 1234u);
   EXPECT_EQ(hello.version, kProtocolVersion);
-  EXPECT_EQ(hello.role, Role::kWorker);
-  EXPECT_EQ(hello.cores, 16u);
-  EXPECT_EQ(hello.memory_mb, 64000u);
 
   runner::SweepCliOptions options;
   options.scenarios = {"tower16"};
   options.seed_count = 3;
-  const Message job = decode(encode(Message::job_description(5, options, 3)));
+  const Message job = decode(encode(Message::job_description(options, 3)));
   EXPECT_EQ(job.type, MsgType::kJob);
-  EXPECT_EQ(job.job, 5u);
   EXPECT_EQ(job.spec_count, 3u);
   EXPECT_EQ(job.options.scenarios, options.scenarios);
 
-  const Message unit = decode(encode(Message::make_unit(5, {7, 14, 16})));
+  const Message unit = decode(encode(Message::make_unit({7, 14, 16})));
   EXPECT_EQ(unit.type, MsgType::kUnit);
-  EXPECT_EQ(unit.job, 5u);
   EXPECT_EQ(unit.unit, (WorkUnit{7, 14, 16}));
 
   const Message result = decode(encode(
-      Message::result(5, {7, 14, 16}, {sample_row(3), sample_row(4)})));
+      Message::result({7, 14, 16}, {sample_row(3), sample_row(4)})));
   EXPECT_EQ(result.type, MsgType::kResult);
-  EXPECT_EQ(result.job, 5u);
   EXPECT_EQ(result.unit, (WorkUnit{7, 14, 16}));
   ASSERT_EQ(result.rows.size(), 2u);
   expect_rows_equal(result.rows[0], sample_row(3));
   expect_rows_equal(result.rows[1], sample_row(4));
 
   EXPECT_EQ(decode(encode(Message::welcome())).type, MsgType::kWelcome);
+  EXPECT_EQ(decode(encode(Message::job_request())).type, MsgType::kJobRequest);
   EXPECT_EQ(decode(encode(Message::pull())).type, MsgType::kPull);
   EXPECT_EQ(decode(encode(Message::heartbeat())).type, MsgType::kHeartbeat);
   EXPECT_EQ(decode(encode(Message::stop())).type, MsgType::kStop);
-}
-
-TEST(Protocol, ClientVerbsRoundTrip) {
-  const Message client =
-      decode(encode(Message::hello(42, Role::kClient, 1, 0)));
-  EXPECT_EQ(client.role, Role::kClient);
-
-  runner::SweepCliOptions grid;
-  grid.scenarios = {"blob100"};
-  const Message submit = decode(encode(Message::submit(grid, 4, 8)));
-  EXPECT_EQ(submit.type, MsgType::kSubmit);
-  EXPECT_EQ(submit.options.scenarios, grid.scenarios);
-  EXPECT_EQ(submit.unit_size, 4u);
-  EXPECT_EQ(submit.min_cores, 8u);
-
-  const Message submitted = decode(encode(Message::submitted(3, 12)));
-  EXPECT_EQ(submitted.type, MsgType::kSubmitted);
-  EXPECT_EQ(submitted.job, 3u);
-  EXPECT_EQ(submitted.spec_count, 12u);
-
-  EXPECT_EQ(decode(encode(Message::status(3))).job, 3u);
-  EXPECT_EQ(decode(encode(Message::job_request(3))).job, 3u);
-  EXPECT_EQ(decode(encode(Message::fetch(3))).type, MsgType::kFetch);
-  EXPECT_EQ(decode(encode(Message::cancel(3))).type, MsgType::kCancel);
-
-  const Message status =
-      decode(encode(Message::job_status(3, JobState::kCancelled, 7, 12)));
-  EXPECT_EQ(status.type, MsgType::kJobStatus);
-  EXPECT_EQ(status.state, JobState::kCancelled);
-  EXPECT_EQ(status.merged, 7u);
-  EXPECT_EQ(status.total, 12u);
-
-  const Message done = decode(encode(Message::job_done(3, JobState::kDone)));
-  EXPECT_EQ(done.type, MsgType::kJobDone);
-  EXPECT_EQ(done.state, JobState::kDone);
 }
 
 TEST(Protocol, RejectsGarbageAndVersionSkew) {
@@ -199,9 +158,24 @@ TEST(Protocol, RejectsGarbageAndVersionSkew) {
   EXPECT_THROW(decode("{\"type\":\"warp\"}"), std::runtime_error);
   EXPECT_THROW(decode("{\"type\":\"hello\",\"version\":999,\"pid\":1}"),
                std::runtime_error);
-  EXPECT_THROW(decode("{\"type\":\"unit\",\"job\":0,\"unit\":{\"id\":0,"
+  // A version-2 peer is refused at hello.
+  EXPECT_THROW(decode("{\"type\":\"hello\",\"version\":2,\"pid\":1,"
+                      "\"role\":\"worker\",\"cores\":4,\"memory_mb\":0}"),
+               std::runtime_error);
+  EXPECT_THROW(decode("{\"type\":\"unit\",\"unit\":{\"id\":0,"
                       "\"begin\":5,\"end\":2}}"),
                std::runtime_error);
+  // Version-2 client verbs are unknown types, whatever fields they carry.
+  const std::vector<std::string> retired = {
+      R"({"type":"submit","options":{},"unit_size":1,"min_cores":0})",
+      R"({"type":"status","job":1})",
+      R"({"type":"fetch","job":1})",
+      R"({"type":"cancel","job":1})",
+      R"({"type":"metrics"})",
+  };
+  for (const std::string& frame : retired) {
+    EXPECT_THROW(decode(frame), std::runtime_error) << frame;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -292,19 +266,28 @@ std::string dist_report_text(const runner::SweepCliOptions& options,
   copts.total_timeout_ms = 60000;  // CI backstop
   Coordinator coordinator(options, copts);
 
-  std::vector<std::thread> fleet;
   std::vector<int> codes(workers, -1);
-  for (size_t i = 0; i < workers; ++i) {
-    Worker::Options wopts;
-    wopts.port = coordinator.port();
-    wopts.heartbeat_ms = 50;
-    if (i == 0) wopts.abandon_after_units = abandon_after;
-    fleet.emplace_back([wopts, i, &codes] {
-      codes[i] = Worker(wopts).run();
-    });
-  }
+  // With a fault armed, worker 0 runs alone until it dies: alone, it is
+  // sure to pull the unit it abandons, instead of racing the healthy
+  // workers to drain the grid first. The healthy workers then finish it.
+  std::thread fleet([&] {
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < workers; ++i) {
+      Worker::Options wopts;
+      wopts.port = coordinator.port();
+      wopts.heartbeat_ms = 50;
+      if (i == 0) wopts.abandon_after_units = abandon_after;
+      threads.emplace_back([wopts, i, &codes] {
+        codes[i] = Worker(wopts).run();
+      });
+      if (i == 0 && abandon_after != SIZE_MAX) threads[0].join();
+    }
+    for (std::thread& worker : threads) {
+      if (worker.joinable()) worker.join();
+    }
+  });
   const std::vector<runner::RunRow> rows = coordinator.run();
-  for (std::thread& worker : fleet) worker.join();
+  fleet.join();
   for (size_t i = 0; i < workers; ++i) {
     const int expected =
         i == 0 && abandon_after != SIZE_MAX ? Worker::kExitFault
@@ -387,7 +370,7 @@ TEST(DistSweep, UnitTimeoutReassignsAndLateResultIsDropped) {
   std::thread healthy;  // started only once the stalled conn holds unit 0
 
   std::thread script([&] {
-    stalled.send_frame(encode(Message::hello(1, Role::kWorker, 1, 0)));
+    stalled.send_frame(encode(Message::hello(1)));
     RecvResult welcome = stalled.recv_frame(10000);
     ASSERT_EQ(welcome.status, RecvStatus::kFrame);
     ASSERT_EQ(decode(welcome.payload).type, MsgType::kWelcome);
@@ -409,8 +392,8 @@ TEST(DistSweep, UnitTimeoutReassignsAndLateResultIsDropped) {
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
     const runner::RunSpec spec =
         runner::expand(runner::make_sweep_grid(grid)).at(0);
-    stalled.send_frame(encode(Message::result(
-        unit.job, unit.unit, {runner::execute_run(spec).row})));
+    stalled.send_frame(encode(
+        Message::result(unit.unit, {runner::execute_run(spec).row})));
     stalled.send_frame(encode(Message::pull()));
     // Drain frames until stop (heartbeat-free, so only unit/stop arrive).
     for (;;) {
@@ -426,8 +409,7 @@ TEST(DistSweep, UnitTimeoutReassignsAndLateResultIsDropped) {
       for (size_t i = message.unit.begin; i < message.unit.end; ++i) {
         rows.push_back(runner::execute_run(specs.at(i)).row);
       }
-      stalled.send_frame(
-          encode(Message::result(message.job, message.unit, rows)));
+      stalled.send_frame(encode(Message::result(message.unit, rows)));
       stalled.send_frame(encode(Message::pull()));
     }
     stalled.close();
@@ -465,7 +447,7 @@ TEST(DistSweep, HeartbeatingWedgedWorkerCannotHoldUpCompletion) {
   std::atomic<bool> quit{false};
   std::thread healthy;
   std::thread script([&] {
-    wedged.send_frame(encode(Message::hello(2, Role::kWorker, 1, 0)));
+    wedged.send_frame(encode(Message::hello(2)));
     // welcome
     ASSERT_EQ(wedged.recv_frame(10000).status, RecvStatus::kFrame);
     wedged.send_frame(encode(Message::pull()));

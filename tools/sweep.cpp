@@ -8,19 +8,12 @@
 //   $ ./sweep --scenario tower16,tower64 --backend dist --workers 3
 //   $ ./sweep --backend dist --workers 0 --bind 0.0.0.0 --port 7777
 //         # then on other machines: ./sweep_worker --connect <host>:7777
+//         # (with --port 0, read the bound port off the "sweep: ..." line)
 //
 // Resilience (docs/ARCHITECTURE.md "Distributed sweep backend"):
 //
 //   $ ./sweep --backend dist --journal sweep.journal ...   # crash-safe
 //   $ ./sweep --resume sweep.journal                       # after a crash
-//
-// Job-queue service — one long-lived fleet, many queued sweeps:
-//
-//   $ ./sweep --serve --port 7777 --workers 4 --journal queue.journal
-//   $ ./sweep --coordinator 127.0.0.1:7777 --submit --scenario tower16
-//   $ ./sweep --coordinator 127.0.0.1:7777 --status 1
-//   $ ./sweep --coordinator 127.0.0.1:7777 --fetch 1 --json out.json
-//   $ ./sweep --coordinator 127.0.0.1:7777 --cancel 1
 //
 // Scenario names are resolved by lat::resolve_scenario (--list-scenarios
 // prints the vocabulary). The two backends produce byte-identical
@@ -30,22 +23,17 @@
 // across coordinator kills and worker reconnects).
 
 #include <algorithm>
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "dist/client.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/journal.hpp"
 #include "dist/spawn.hpp"
 #include "dist/worker.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runner/cli_options.hpp"
 #include "runner/sweep.hpp"
@@ -55,29 +43,6 @@
 namespace {
 
 using namespace sb;
-
-volatile std::sig_atomic_t g_shutdown_requested = 0;
-
-void request_shutdown(int) { g_shutdown_requested = 1; }
-
-struct HostPort {
-  std::string host;
-  uint16_t port = 0;
-};
-
-HostPort parse_host_port(const std::string& text, const char* flag) {
-  const size_t colon = text.rfind(':');
-  if (text.empty() || colon == std::string::npos) {
-    throw std::runtime_error(
-        fmt("{} expects host:port, e.g. {} 127.0.0.1:7777", flag, flag));
-  }
-  const auto port = parse_int(text.substr(colon + 1));
-  if (!port.has_value() || *port < 1 || *port > 65535) {
-    throw std::runtime_error(fmt("{} port must be in [1, 65535], got '{}'",
-                                 flag, text.substr(colon + 1)));
-  }
-  return {text.substr(0, colon), static_cast<uint16_t>(*port)};
-}
 
 dist::Coordinator::Options coordinator_options(const CliParser& cli) {
   dist::Coordinator::Options copts;
@@ -156,10 +121,14 @@ std::vector<runner::RunRow> run_dist(const runner::SweepCliOptions& options,
                                      const CliParser& cli,
                                      const char* argv0) {
   dist::Coordinator coordinator(options, coordinator_options(cli));
+  // Flushed immediately: scripts joining external workers (--port 0)
+  // read the bound port off this line, and a pipe- or file-redirected
+  // stdout is fully buffered by default.
   std::printf("sweep: %zu runs on %lld dist workers (port %u)\n",
               coordinator.spec_count(),
               static_cast<long long>(cli.get_int("workers")),
               coordinator.port());
+  std::fflush(stdout);
   const std::vector<dist::WorkerProcess> fleet =
       spawn_fleet(cli, coordinator.port(), argv0);
   std::vector<runner::RunRow> rows = coordinator.run();
@@ -168,7 +137,7 @@ std::vector<runner::RunRow> run_dist(const runner::SweepCliOptions& options,
 }
 
 /// Resumes a crashed dist sweep from its journal. The journal pins the
-/// primary job's grid (so the rebuilt report is byte-identical to an
+/// sweep's grid (so the rebuilt report is byte-identical to an
 /// uninterrupted run) and the coordinator's bind address (so orphaned
 /// workers reconnect); `options` is overwritten with the journaled grid.
 std::vector<runner::RunRow> resume_dist(const std::string& journal_path,
@@ -176,16 +145,7 @@ std::vector<runner::RunRow> resume_dist(const std::string& journal_path,
                                         const char* argv0,
                                         runner::SweepCliOptions& options) {
   const dist::JournalContents contents = dist::read_journal(journal_path);
-  const dist::JournalJob* primary = nullptr;
-  for (const dist::JournalJob& job : contents.jobs) {
-    if (job.job == 0) primary = &job;
-  }
-  if (primary == nullptr) {
-    throw std::runtime_error(fmt(
-        "journal '{}' has no primary sweep (job 0) to resume",
-        journal_path));
-  }
-  options = primary->options;
+  options = contents.job.options;
   dist::Coordinator::Options copts = coordinator_options(cli);
   copts.journal_path = journal_path;  // keep appending to the same file
   dist::Coordinator coordinator(contents, copts);
@@ -193,6 +153,7 @@ std::vector<runner::RunRow> resume_dist(const std::string& journal_path,
               "journaled, port %u)\n",
               coordinator.spec_count(), journal_path.c_str(),
               contents.batches.size(), coordinator.port());
+  std::fflush(stdout);  // see run_dist
   const std::vector<dist::WorkerProcess> fleet =
       spawn_fleet(cli, coordinator.port(), argv0);
   std::vector<runner::RunRow> rows = coordinator.run();
@@ -200,44 +161,7 @@ std::vector<runner::RunRow> resume_dist(const std::string& journal_path,
   return rows;
 }
 
-/// Long-lived job-queue service: no primary sweep, jobs arrive from
-/// `--coordinator ... --submit` clients. SIGINT/SIGTERM wind it down.
-int run_serve(const CliParser& cli, const char* argv0) {
-  dist::Coordinator::Options copts = coordinator_options(cli);
-  copts.serve = true;
-  dist::Coordinator coordinator(copts);
-  // Flushed immediately: scripts discover the bound port (--port 0) by
-  // watching this line, and a pipe- or file-redirected stdout is fully
-  // buffered by default.
-  std::printf("sweep: serving the sweep job queue on %s:%u\n",
-              copts.bind_address.c_str(), coordinator.port());
-  std::fflush(stdout);
-  const std::vector<dist::WorkerProcess> fleet =
-      spawn_fleet(cli, coordinator.port(), argv0);
-  std::signal(SIGINT, request_shutdown);
-  std::signal(SIGTERM, request_shutdown);
-  // The handler only flips a flag (shutdown() takes locks, which are off
-  // limits in a signal context); this thread turns the flag into the call.
-  std::atomic<bool> finished{false};
-  std::thread watcher([&] {
-    while (!finished.load()) {
-      if (g_shutdown_requested != 0) {
-        coordinator.shutdown();
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-  });
-  (void)coordinator.run();
-  finished.store(true);
-  watcher.join();
-  reap_fleet(fleet);
-  std::printf("sweep: job queue stopped\n");
-  return 0;
-}
-
-/// Prints the summary table, writes --json, and derives the exit code —
-/// shared by every mode that ends holding a finished report.
+/// Prints the summary table, writes --json, and derives the exit code.
 int emit_report(runner::BenchReport& report, const CliParser& cli,
                 const runner::SweepCliOptions& options) {
   if (cli.get_bool("scrub-timing")) report.scrub_timing();
@@ -296,8 +220,8 @@ int emit_report(runner::BenchReport& report, const CliParser& cli,
 
 /// Scoped trace capture: enables the process-wide TraceWriter when a path
 /// was given and serializes the buffer on scope exit — every mode path
-/// (local, dist, serve, client) and the exception unwind all pass through
-/// the same destructor.
+/// (local, dist, resume) and the exception unwind all pass through the
+/// same destructor.
 class TraceCapture {
  public:
   explicit TraceCapture(std::string path) : path_(std::move(path)) {
@@ -325,131 +249,6 @@ class TraceCapture {
  private:
   std::string path_;
 };
-
-double metrics_number(const util::JsonValue& metrics, const char* group,
-                      const char* name) {
-  const util::JsonValue* value = metrics.find_path({group, name});
-  if (value == nullptr) return 0.0;
-  if (value->kind() == util::JsonValue::Kind::kString) {
-    return static_cast<double>(util::parse_u64(value->as_string()));
-  }
-  return value->as_number();
-}
-
-/// Prints the coordinator's live metrics under a --status line: queue and
-/// fleet gauges first, then one row per worker the coordinator has seen.
-void print_service_metrics(const util::JsonValue& reply) {
-  const util::JsonValue* metrics = reply.find("metrics");
-  if (metrics == nullptr) return;
-  std::printf(
-      "  queue depth %.0f  in-flight %.0f  workers %.0f  "
-      "reassignments %.0f  dispatched %.0f  merged %.0f\n",
-      metrics_number(*metrics, "gauges", "coord.queue_depth"),
-      metrics_number(*metrics, "gauges", "coord.in_flight"),
-      metrics_number(*metrics, "gauges", "coord.workers_connected"),
-      metrics_number(*metrics, "counters", "coord.reassignments"),
-      metrics_number(*metrics, "counters", "coord.units_dispatched"),
-      metrics_number(*metrics, "counters", "coord.results_merged"));
-  const util::JsonValue* workers = reply.find("workers");
-  if (workers == nullptr || workers->as_array().empty()) return;
-  std::printf("  %-6s %-8s %6s %10s %6s %8s %11s %14s\n", "conn", "pid",
-              "cores", "memory_mb", "units", "merged", "hb gap p95",
-              "state");
-  for (const util::JsonValue& worker : workers->as_array()) {
-    const auto number = [&worker](const char* name) {
-      const util::JsonValue* value = worker.find(name);
-      return value != nullptr ? value->as_number() : 0.0;
-    };
-    const util::JsonValue* connected = worker.find("connected");
-    std::printf("  %-6.0f %-8.0f %6.0f %10.0f %6.0f %8.0f %9.0fms %14s\n",
-                number("conn"), number("pid"), number("cores"),
-                number("memory_mb"), number("units_dispatched"),
-                number("results_merged"), number("heartbeat_gap_p95_ms"),
-                connected != nullptr && connected->as_bool()
-                    ? "connected"
-                    : "disconnected");
-  }
-}
-
-/// Client verbs against a `--serve` coordinator.
-int run_client(const CliParser& cli) {
-  const HostPort addr =
-      parse_host_port(cli.get_string("coordinator"), "--coordinator");
-  dist::Client::Options copts;
-  copts.host = addr.host;
-  copts.port = addr.port;
-  copts.verbose = cli.get_bool("verbose");
-  dist::Client client(copts);
-
-  if (cli.get_bool("submit")) {
-    const runner::SweepCliOptions grid = runner::parse_sweep_flags(cli);
-    const int64_t unit_size = cli.get_int("unit-size");
-    const int64_t min_cores = cli.get_int("min-cores");
-    if (unit_size < 1 || min_cores < 0) {
-      throw std::runtime_error(
-          "--unit-size must be >= 1 and --min-cores >= 0");
-    }
-    const uint64_t job =
-        client.submit(grid, static_cast<size_t>(unit_size),
-                      static_cast<size_t>(min_cores));
-    std::printf("sweep: submitted job %llu\n",
-                static_cast<unsigned long long>(job));
-    return 0;
-  }
-  if (const int64_t id = cli.get_int("status"); id >= 0) {
-    const dist::Client::JobStatus status =
-        client.status(static_cast<uint64_t>(id));
-    std::printf("sweep: job %lld %s %zu/%zu\n", static_cast<long long>(id),
-                std::string(dist::to_string(status.state)).c_str(),
-                status.merged, status.total);
-    const util::JsonValue reply = client.metrics();
-    print_service_metrics(reply);
-    const std::string metrics_path = cli.get_string("metrics-out");
-    if (!metrics_path.empty()) {
-      const util::JsonValue* registry_json = reply.find("metrics");
-      const obs::Registry registry =
-          registry_json != nullptr ? obs::Registry::from_json(*registry_json)
-                                   : obs::Registry{};
-      std::FILE* out = std::fopen(metrics_path.c_str(), "w");
-      if (out == nullptr) {
-        throw std::runtime_error(
-            fmt("cannot write --metrics-out '{}'", metrics_path));
-      }
-      const std::string text = registry.to_prometheus();
-      std::fwrite(text.data(), 1, text.size(), out);
-      std::fclose(out);
-      std::printf("wrote %s\n", metrics_path.c_str());
-    }
-    return status.state == dist::JobState::kCancelled ? 3 : 0;
-  }
-  if (const int64_t id = cli.get_int("cancel"); id >= 0) {
-    const dist::Client::JobStatus status =
-        client.cancel(static_cast<uint64_t>(id));
-    std::printf("sweep: job %lld %s %zu/%zu\n", static_cast<long long>(id),
-                std::string(dist::to_string(status.state)).c_str(),
-                status.merged, status.total);
-    return 0;
-  }
-  if (const int64_t id = cli.get_int("fetch"); id >= 0) {
-    // The journaled/announced grid drives the report header, so a fetched
-    // report is byte-identical (modulo timing) to a local run of the same
-    // grid even when the fetching client passed no grid flags at all.
-    const runner::SweepCliOptions options =
-        client.describe(static_cast<uint64_t>(id));
-    std::vector<runner::RunRow> rows =
-        client.fetch(static_cast<uint64_t>(id));
-    runner::SweepRunner::Options ropts;
-    ropts.threads = options.threads;
-    ropts.master_seed = options.master_seed;
-    ropts.generator = "sweep";
-    runner::BenchReport report =
-        runner::assemble_report(ropts, std::move(rows));
-    return emit_report(report, cli, options);
-  }
-  throw std::runtime_error(
-      "--coordinator needs one of --submit, --status <id>, --fetch <id>, "
-      "--cancel <id>");
-}
 
 int run_sweep(int argc, char** argv) {
   CliParser cli("parallel scenario/seed/rule-set sweep harness");
@@ -491,29 +290,10 @@ int run_sweep(int argc, char** argv) {
   cli.add_int("worker-reconnect-ms", 0,
               "dist: reconnect window passed to spawned workers so they "
               "survive a coordinator kill + --resume cycle (0 = off)");
-  cli.add_bool("serve", false,
-               "dist: run as a long-lived job-queue service (no primary "
-               "sweep; SIGINT/SIGTERM stops it)");
-  cli.add_string("coordinator", "",
-                 "client mode: address of a --serve coordinator to talk to");
-  cli.add_bool("submit", false,
-               "client: queue the grid described by the sweep flags; "
-               "prints the job id");
-  cli.add_int("status", -1, "client: report a job's state and progress");
-  cli.add_int("fetch", -1,
-              "client: stream a job's merged rows and emit the report "
-              "(blocks until the job completes)");
-  cli.add_int("cancel", -1, "client: cancel a running job");
-  cli.add_int("min-cores", 0,
-              "client --submit: only dispatch to workers announcing at "
-              "least this many cores");
   cli.add_string("trace-out", "",
                  "write a Chrome Trace Event Format file (load in Perfetto "
                  "or chrome://tracing) covering this process's shard "
                  "phases and dist milestones");
-  cli.add_string("metrics-out", "",
-                 "client --status: also write the coordinator's metrics in "
-                 "Prometheus text format here");
   cli.add_bool("verbose", false, "dist: fleet chatter on stderr");
   if (!cli.parse(argc, argv)) return 1;
 
@@ -523,9 +303,6 @@ int run_sweep(int argc, char** argv) {
   }
 
   const TraceCapture capture(cli.get_string("trace-out"));
-
-  if (!cli.get_string("coordinator").empty()) return run_client(cli);
-  if (cli.get_bool("serve")) return run_serve(cli, argv[0]);
 
   const std::string resume_path = cli.get_string("resume");
   runner::SweepCliOptions options = runner::parse_sweep_flags(cli);
@@ -580,7 +357,7 @@ int run_sweep(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   // CLI mistakes (typo'd scenario names, bad seeds, unwritable --json
-  // paths, missing files) and service failures (occupied --port, corrupt
+  // paths, missing files) and fleet failures (occupied --port, corrupt
   // --resume journals) surface as exceptions; report them as one-line
   // errors instead of aborting.
   try {

@@ -34,9 +34,6 @@ int main(int argc, char** argv) {
               "backoff) for this long before giving up; in-flight results "
               "are redelivered on reconnect (0 = exit on disconnect)");
   cli.add_int("reconnect-base-ms", 100, "first reconnect backoff step");
-  cli.add_int("cores", 0,
-              "cores to announce in the hello (0 = detect); coordinators "
-              "use it for min-cores dispatch");
   cli.add_int("shard-threads", 0,
               "override SimConfig::shard_threads on every run executed here "
               "(0 = keep each spec's value); rows are independent of it, so "
@@ -70,12 +67,10 @@ int main(int argc, char** argv) {
         sb::runner::parse_ms_flag(cli, "reconnect-window-ms", 0);
     options.reconnect_base_ms =
         sb::runner::parse_ms_flag(cli, "reconnect-base-ms", 1);
-    const int64_t cores = cli.get_int("cores");
     const int64_t shard_threads = cli.get_int("shard-threads");
-    if (cores < 0 || shard_threads < 0) {
-      throw std::runtime_error("--cores and --shard-threads must be >= 0");
+    if (shard_threads < 0) {
+      throw std::runtime_error("--shard-threads must be >= 0");
     }
-    options.cores = static_cast<size_t>(cores);
     options.shard_threads = static_cast<size_t>(shard_threads);
     options.verbose = cli.get_bool("verbose");
     if (const char* fault = std::getenv(sb::dist::kWorkerFaultEnv)) {
