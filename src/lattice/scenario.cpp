@@ -1,10 +1,11 @@
 #include "lattice/scenario.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
+#include <utility>
 
 #include "lattice/connectivity.hpp"
 #include "lattice/region.hpp"
@@ -48,26 +49,50 @@ std::vector<std::string> validate(const Scenario& s) {
   }
   if (!issues.empty()) return issues;
 
-  std::set<BlockId> ids;
-  std::set<Vec2> cells;
+  // Dense occupancy bytes and a seen-bitmap indexed by id keep validation
+  // O(N + W*H); to_grid() below allocates W*H cells anyway. Ids above the
+  // grid's dense-id limit are reported here and never reach the bitmap.
+  const auto cell_index = [&](Vec2 p) {
+    return static_cast<size_t>(p.y) * static_cast<size_t>(s.width) +
+           static_cast<size_t>(p.x);
+  };
+  std::vector<uint8_t> occupied(
+      static_cast<size_t>(s.width) * static_cast<size_t>(s.height), 0);
+  uint32_t max_id = 0;
+  for (const auto& block : s.blocks) {
+    if (block.first.value <= Grid::kMaxBlockIdValue) {
+      max_id = std::max(max_id, block.first.value);
+    }
+  }
+  std::vector<bool> seen_id(static_cast<size_t>(max_id) + 1, false);
+  bool seen_invalid = false;
   for (const auto& [id, pos] : s.blocks) {
-    if (!id.valid()) issues.push_back("invalid block id in scenario");
-    if (!ids.insert(id).second) {
+    if (!id.valid()) {
+      issues.push_back("invalid block id in scenario");
+      if (std::exchange(seen_invalid, true)) {
+        issues.push_back(fmt("duplicate block id {}", id));
+      }
+    } else if (id.value > Grid::kMaxBlockIdValue) {
+      issues.push_back(fmt("block id {} exceeds the dense-id limit ({})", id,
+                           Grid::kMaxBlockIdValue));
+    } else if (seen_id[id.value]) {
       issues.push_back(fmt("duplicate block id {}", id));
+    } else {
+      seen_id[id.value] = true;
     }
     if (!in_bounds(pos)) {
       issues.push_back(fmt("block {} at {} is outside the surface", id, pos));
-    } else if (!cells.insert(pos).second) {
+    } else if (std::exchange(occupied[cell_index(pos)], uint8_t{1})) {
       issues.push_back(fmt("two blocks share cell {}", pos));
     }
   }
   if (!issues.empty()) return issues;
 
-  if (!cells.count(s.input)) {
+  if (!occupied[cell_index(s.input)]) {
     issues.push_back(
         "no block on the input cell (Assumption 2 requires the Root at I)");
   }
-  if (cells.count(s.output)) {
+  if (occupied[cell_index(s.output)]) {
     issues.push_back("the output cell must start empty");
   }
   // Lemma 1: a path of N-1 cells needs N blocks (one spare for the final
@@ -101,6 +126,9 @@ namespace {
 int32_t parse_coord(const std::string& token, int line_no) {
   const auto value = parse_int(token);
   if (!value) parse_fail(line_no, fmt("expected an integer, got '{}'", token));
+  if (*value < INT32_MIN || *value > INT32_MAX) {
+    parse_fail(line_no, fmt("{} does not fit a 32-bit coordinate", token));
+  }
   return static_cast<int32_t>(*value);
 }
 
@@ -142,6 +170,10 @@ Scenario parse_scenario(const std::string& text) {
       if (tokens.size() != 4) parse_fail(line_no, "block expects id x y");
       const auto id = parse_int(tokens[1]);
       if (!id || *id < 0) parse_fail(line_no, "block id must be >= 0");
+      if (*id >= UINT32_MAX) {
+        parse_fail(line_no, fmt("block id {} must be below {}", *id,
+                                UINT32_MAX));
+      }
       s.blocks.emplace_back(
           BlockId{static_cast<uint32_t>(*id)},
           Vec2{parse_coord(tokens[2], line_no),
@@ -200,7 +232,13 @@ Scenario resolve_scenario(const std::string& name, uint64_t master_seed) {
                              name + "'");
   }
   if (name == "fig10") return make_fig10_scenario();
-  return load_scenario(name);  // throws with a message on a bad path
+  // Sessions assert validity, so a file that breaks it is reported here.
+  Scenario s = load_scenario(name);  // throws with a message on a bad path
+  if (const auto issues = validate(s); !issues.empty()) {
+    throw std::runtime_error(
+        fmt("scenario '{}' is invalid: {}", name, join(issues, "; ")));
+  }
+  return s;
 }
 
 std::string serialize_scenario(const Scenario& s) {

@@ -42,13 +42,15 @@ struct Scenario {
 
 /// Checks the scenario against the paper's assumptions. Returns a list of
 /// human-readable problems; empty means valid. Checked: bounds, distinct
-/// ids/cells, a block on I, O initially free, connectivity (Assumption 1/2),
-/// non-degenerate 2-D topology, and that enough blocks exist to tile the
-/// shortest path (Lemma 1 needs N >= manhattan(I,O)+1).
+/// ids/cells, ids within Grid::kMaxBlockIdValue, a block on I, O initially
+/// free, connectivity (Assumption 1/2), non-degenerate 2-D topology, and
+/// that enough blocks exist to tile the shortest path (Lemma 1 needs
+/// N >= manhattan(I,O)+1). Takes O(N + W*H) time and memory.
 [[nodiscard]] std::vector<std::string> validate(const Scenario& scenario);
 
 /// Parses the text format. Throws std::runtime_error with a line number on
-/// malformed input.
+/// malformed input, including a block id >= UINT32_MAX (the invalid-id
+/// sentinel) and a size, cell or coordinate outside int32_t.
 [[nodiscard]] Scenario parse_scenario(const std::string& text);
 
 /// Loads a scenario file.
@@ -68,8 +70,8 @@ struct Scenario {
 ///   rect<N>    giant block rectangle, 64 <= N <= 10000000
 ///   fig10      the paper's Figs 10-11 example
 ///   <path>     anything else is loaded as a .surf scenario file
-/// Throws std::runtime_error with a usage-style message on bad names or
-/// out-of-range sizes.
+/// Throws std::runtime_error with a usage-style message on bad names,
+/// out-of-range sizes, or a scenario file that fails validate().
 [[nodiscard]] Scenario resolve_scenario(const std::string& name,
                                         uint64_t master_seed = 0x5eedULL);
 

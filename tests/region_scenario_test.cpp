@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "lattice/region.hpp"
 #include "lattice/scenario.hpp"
 
@@ -140,6 +143,15 @@ TEST(Scenario, ParseBasic) {
   EXPECT_EQ(s.output, Vec2(1, 4));
   ASSERT_EQ(s.blocks.size(), 2u);
   EXPECT_EQ(s.root_id(), BlockId{7});
+
+  // The extremes that fit still parse; validate() judges them.
+  const Scenario t = parse_scenario(
+      "size 2147483647 1\ninput 0 0\noutput 1 0\n"
+      "block 4294967294 -2147483648 2147483647\n");
+  EXPECT_EQ(t.width, INT32_MAX);
+  ASSERT_EQ(t.blocks.size(), 1u);
+  EXPECT_EQ(t.blocks[0].first, BlockId{4294967294u});
+  EXPECT_EQ(t.blocks[0].second, Vec2(INT32_MIN, INT32_MAX));
 }
 
 TEST(Scenario, RoundTrip) {
@@ -153,11 +165,33 @@ TEST(Scenario, RoundTrip) {
 }
 
 TEST(Scenario, ParseErrorsCarryLineNumbers) {
-  try {
-    (void)parse_scenario("size 4 4\ninput 0 0\nbogus 1 2\n");
-    FAIL() << "expected parse error";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos);
+  // Besides malformed lines, numbers that do not fit their field: block
+  // ids must stay below the invalid-id sentinel UINT32_MAX (2^32 + 1 must
+  // not wrap to #1), sizes and cells must fit int32_t (a width of
+  // 2^32 + 10 must not wrap to 10).
+  const std::string head = "size 10 10\ninput 0 0\noutput 3 0\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"size 4 4\ninput 0 0\nbogus 1 2\n", "line 3"},
+      {head + "block 4294967297 1 0\n", "line 4"},
+      {head + "block 4294967295 1 0\n", "line 4"},
+      {head + "block 99999999999999999999 1 0\n", "line 4"},
+      {head + "block 1 2147483648 0\n", "line 4"},
+      {head + "block 1 0 -2147483649\n", "line 4"},
+      {"size 4294967306 10\ninput 0 0\noutput 3 0\n", "line 1"},
+      {"size 10 -4294967286\ninput 0 0\noutput 3 0\n", "line 1"},
+      {"size 10 10\ninput 4294967296 0\noutput 3 0\n", "line 2"},
+      {"size 10 10\ninput 0 0\noutput 3 2147483648\n", "line 3"},
+  };
+  for (const auto& [text, line] : cases) {
+    try {
+      (void)parse_scenario(text);
+      ADD_FAILURE() << "expected a parse error for:\n" << text;
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("scenario parse error at " + line),
+                std::string::npos)
+          << what;
+    }
   }
 }
 
@@ -240,6 +274,59 @@ TEST(ScenarioValidate, RejectsDuplicates) {
   Scenario t = make_fig10_scenario();
   t.blocks.emplace_back(BlockId{99}, t.blocks.front().second);  // shared cell
   EXPECT_FALSE(validate(t).empty());
+}
+
+TEST(ScenarioValidate, ReportsPerBlockFaultsInBlockOrder) {
+  // One of each per-block fault, appended after fig10's twelve valid
+  // blocks (surface 6x12). Issues come in block order, and within a block
+  // in id-then-cell order; a second invalid id also counts as a duplicate.
+  Scenario s = make_fig10_scenario();
+  s.blocks.emplace_back(kInvalidBlock, Vec2{4, 4});
+  s.blocks.emplace_back(BlockId{1}, Vec2{5, 5});   // duplicate id
+  s.blocks.emplace_back(BlockId{90}, Vec2{9, 9});  // off the surface
+  s.blocks.emplace_back(BlockId{91}, Vec2{1, 0});  // on the Root's cell
+  s.blocks.emplace_back(kInvalidBlock, Vec2{4, 5});
+  s.blocks.emplace_back(BlockId{2}, Vec2{2, 0});   // duplicate id, shared
+  s.blocks.emplace_back(BlockId{3}, Vec2{-1, 0});  // duplicate id, off
+  const std::vector<std::string> expected = {
+      "invalid block id in scenario",
+      "duplicate block id #1",
+      "block #90 at (9,9) is outside the surface",
+      "two blocks share cell (1,0)",
+      "invalid block id in scenario",
+      "duplicate block id #invalid",
+      "duplicate block id #2",
+      "two blocks share cell (2,0)",
+      "duplicate block id #3",
+      "block #3 at (-1,0) is outside the surface",
+  };
+  EXPECT_EQ(validate(s), expected);
+}
+
+TEST(ScenarioValidate, RejectsIdsAboveTheDenseLimit) {
+  // The dense id->position index caps ids at Grid::kMaxBlockIdValue;
+  // validate reports a larger id, so to_grid() never sees it.
+  const Scenario s = parse_scenario(
+      "size 10 10\ninput 0 0\noutput 3 0\n"
+      "block 1 0 0\nblock 70000000 1 0\nblock 2 2 0\n"
+      "block 5 0 1\nblock 6 1 1\n");
+  const std::vector<std::string> expected = {
+      "block id #70000000 exceeds the dense-id limit (67108863)"};
+  EXPECT_EQ(validate(s), expected);
+
+  // The limit itself is accepted, one above it is not. A duplicate id
+  // stops validation before to_grid(), so the test never allocates the
+  // 2^26-entry index a valid scenario with that id would get.
+  Scenario t = make_fig10_scenario();
+  t.blocks.emplace_back(BlockId{1}, Vec2{4, 4});
+  t.blocks[11].first = BlockId{Grid::kMaxBlockIdValue};
+  const std::vector<std::string> at_limit = {"duplicate block id #1"};
+  EXPECT_EQ(validate(t), at_limit);
+  t.blocks[11].first = BlockId{Grid::kMaxBlockIdValue + 1};
+  const std::vector<std::string> above_limit = {
+      "block id #67108864 exceeds the dense-id limit (67108863)",
+      "duplicate block id #1"};
+  EXPECT_EQ(validate(t), above_limit);
 }
 
 TEST(ScenarioValidate, RejectsOutOfBoundsIO) {
@@ -370,6 +457,27 @@ TEST(ResolveScenario, FallsBackToScenarioFiles) {
                        "/scenarios/fig10.surf");
   EXPECT_EQ(s.block_count(), 12u);
   EXPECT_THROW(resolve_scenario("no/such/file.surf"), std::runtime_error);
+
+  // A file that fails validate() is rejected with its issues, so no
+  // session is ever built (and asserts) on it.
+  const std::string path = ::testing::TempDir() + "big_id.surf";
+  {
+    std::ofstream out(path);
+    out << "size 10 10\ninput 0 0\noutput 3 0\n"
+           "block 1 0 0\nblock 70000000 1 0\nblock 2 2 0\n"
+           "block 5 0 1\nblock 6 1 1\n";
+  }
+  try {
+    (void)resolve_scenario(path);
+    ADD_FAILURE() << "expected an invalid-scenario error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("is invalid: block id #70000000 exceeds the "
+                        "dense-id limit (67108863)"),
+              std::string::npos)
+        << error.what();
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
