@@ -5,11 +5,9 @@
 //       completes;
 //   A2  election tie policy - kFirst / kLowestId / kRandom;
 //   A3  move tie policy - prefer-enter-path vs first;
-//   A4  event queue implementation - binary heap vs bucket map (wall time);
 //   A5  link latency model - fixed / uniform / exponential (sim time);
 //   A6  tabu capacity for tier-2 detours.
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -113,26 +111,6 @@ void ablate_tie_policies() {
   }
 }
 
-void ablate_queue() {
-  bench::print_header("A4: event queue implementation (tower N=48 wall time)");
-  std::printf("%-14s %12s %16s\n", "queue", "wall ms", "events");
-  for (const auto kind :
-       {sim::QueueKind::kBinaryHeap, sim::QueueKind::kBucketMap}) {
-    core::SessionConfig config;
-    config.sim.queue = kind;
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = core::ReconfigurationSession::run_scenario(
-        lat::make_tower_scenario(24), config);
-    const auto end = std::chrono::steady_clock::now();
-    std::printf("%-14s %12.1f %16llu\n",
-                kind == sim::QueueKind::kBinaryHeap ? "binary-heap"
-                                                    : "bucket-map",
-                std::chrono::duration<double, std::milli>(end - start)
-                    .count(),
-                static_cast<unsigned long long>(result.events_processed));
-  }
-}
-
 void ablate_latency() {
   bench::print_header("A5: link latency model (fig10 completion time)");
   std::printf("%-24s %12s %12s %10s\n", "latency", "sim ticks", "messages",
@@ -199,7 +177,6 @@ void ablate_tabu() {
 int main() {
   ablate_repositioning();
   ablate_tie_policies();
-  ablate_queue();
   ablate_latency();
   ablate_trains();
   ablate_tabu();

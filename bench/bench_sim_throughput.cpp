@@ -94,8 +94,7 @@ struct FloodMeasurement {
 
 /// Builds a W-wide strip of modules (rows of 1024) and floods it with
 /// tokens.
-FloodMeasurement run_flood(size_t module_count, uint64_t target_events,
-                           sim::QueueKind queue) {
+FloodMeasurement run_flood(size_t module_count, uint64_t target_events) {
   const auto width = static_cast<int32_t>(std::min<size_t>(
       module_count, 1024));
   const auto height =
@@ -103,7 +102,6 @@ FloodMeasurement run_flood(size_t module_count, uint64_t target_events,
   sim::World world(width, std::max<int32_t>(height, 1),
                    motion::RuleLibrary::standard());
   sim::SimConfig config;
-  config.queue = queue;
   config.detailed_stats = false;  // measure the core, not the counters
   uint32_t id = 1;
   for (size_t i = 0; i < module_count; ++i) {
@@ -143,7 +141,7 @@ void report_table() {
   double largest = 0;
   for (const size_t n : {1024u, 16384u, 131072u, 1048576u}) {
     const double rate =
-        run_flood(n, 2'000'000, sim::QueueKind::kBinaryHeap).rate();
+        run_flood(n, 2'000'000).rate();
     std::printf("%12zu %18.0f\n", n, rate);
     if (n == 1024u) smallest = rate;
     largest = rate;
@@ -251,8 +249,7 @@ int report_json(const std::string& path, int repeat, bool include_giant) {
 
   for (const size_t n : {1024u, 16384u, 131072u}) {
     for (int rep = 0; rep < repeat; ++rep) {
-      const FloodMeasurement m =
-          run_flood(n, 1'500'000, sim::QueueKind::kBinaryHeap);
+      const FloodMeasurement m = run_flood(n, 1'500'000);
       runner::RunRow row;
       row.scenario = "flood-" + std::to_string(n);
       row.ruleset = "standard";
@@ -281,8 +278,7 @@ int report_json(const std::string& path, int repeat, bool include_giant) {
 void BM_EventChurn(benchmark::State& state) {
   const auto modules = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    const double rate = run_flood(modules, 500'000,
-                                  sim::QueueKind::kBinaryHeap).rate();
+    const double rate = run_flood(modules, 500'000).rate();
     state.counters["events/s"] =
         benchmark::Counter(rate, benchmark::Counter::kAvgThreads);
   }

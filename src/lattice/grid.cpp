@@ -9,10 +9,25 @@ namespace sb::lat {
 
 thread_local ConnectivityScratchView* Grid::tls_conn_view = nullptr;
 
-Grid::Grid(int32_t width, int32_t height)
-    : width_(width), height_(height), state_(width, height) {
+namespace {
+
+/// Checks the surface extent before any member allocates for it.
+int32_t checked_width(int32_t width, int32_t height) {
   SB_EXPECTS(width > 0 && height > 0, "grid dimensions must be positive, got ",
              width, "x", height);
+  SB_EXPECTS(static_cast<size_t>(width) * static_cast<size_t>(height) <=
+                 Grid::kMaxCells,
+             "surface ", width, "x", height, " is above the limit of ",
+             Grid::kMaxCells, " cells");
+  return width;
+}
+
+}  // namespace
+
+Grid::Grid(int32_t width, int32_t height)
+    : width_(checked_width(width, height)),
+      height_(height),
+      state_(width, height) {
   cells_.assign(cell_count(), kInvalidBlock);
   row_counts_.assign(static_cast<size_t>(height_), 0);
   col_counts_.assign(static_cast<size_t>(width_), 0);

@@ -72,7 +72,8 @@ struct ConnectivityScratchView {
 
 class Grid {
  public:
-  /// Creates an empty surface of `width` x `height` cells (paper: W, H).
+  /// Creates an empty surface of `width` x `height` cells (paper: W, H),
+  /// at most kMaxCells of them.
   Grid(int32_t width, int32_t height);
 
   [[nodiscard]] int32_t width() const { return width_; }
@@ -158,6 +159,11 @@ class Grid {
   /// bound the index at 512 MB — far above the paper's 2M-module scale but
   /// a loud error instead of a silent multi-gigabyte allocation.
   static constexpr uint32_t kMaxBlockIdValue = (1u << 26) - 1;
+
+  /// Largest accepted surface area in cells. A grid spends ~5 bytes per
+  /// cell (cells plus occupancy), so 2^27 cells bound it near 700 MB; the
+  /// largest generated world, tower10000000 (5 x 10^7 cells), fits.
+  static constexpr size_t kMaxCells = size_t{1} << 27;
 
   /// Places a new block. The cell must be empty and the id unused.
   void place(BlockId id, Vec2 p);

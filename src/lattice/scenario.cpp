@@ -35,6 +35,13 @@ std::vector<std::string> validate(const Scenario& s) {
                          s.width, s.height));
     return issues;
   }
+  const size_t cells =
+      static_cast<size_t>(s.width) * static_cast<size_t>(s.height);
+  if (cells > Grid::kMaxCells) {
+    issues.push_back(fmt("surface {}x{} has {} cells, above the limit ({})",
+                         s.width, s.height, cells, Grid::kMaxCells));
+    return issues;
+  }
   const auto in_bounds = [&](Vec2 p) {
     return p.x >= 0 && p.x < s.width && p.y >= 0 && p.y < s.height;
   };
@@ -56,8 +63,7 @@ std::vector<std::string> validate(const Scenario& s) {
     return static_cast<size_t>(p.y) * static_cast<size_t>(s.width) +
            static_cast<size_t>(p.x);
   };
-  std::vector<uint8_t> occupied(
-      static_cast<size_t>(s.width) * static_cast<size_t>(s.height), 0);
+  std::vector<uint8_t> occupied(cells, 0);
   uint32_t max_id = 0;
   for (const auto& block : s.blocks) {
     if (block.first.value <= Grid::kMaxBlockIdValue) {
@@ -169,7 +175,11 @@ Scenario parse_scenario(const std::string& text) {
     } else if (keyword == "block") {
       if (tokens.size() != 4) parse_fail(line_no, "block expects id x y");
       const auto id = parse_int(tokens[1]);
-      if (!id || *id < 0) parse_fail(line_no, "block id must be >= 0");
+      if (!id) {
+        parse_fail(line_no,
+                   fmt("expected an integer block id, got '{}'", tokens[1]));
+      }
+      if (*id < 0) parse_fail(line_no, "block id must be >= 0");
       if (*id >= UINT32_MAX) {
         parse_fail(line_no, fmt("block id {} must be below {}", *id,
                                 UINT32_MAX));

@@ -23,19 +23,12 @@ bool addressed_to(const EventRecord& record, lat::BlockId target) {
   return false;
 }
 
-void sort_extracted(std::vector<EventRecord>& out, size_t first) {
-  std::sort(out.begin() + static_cast<ptrdiff_t>(first), out.end(),
-            [](const EventRecord& a, const EventRecord& b) {
-              return event_before(a, b);
-            });
-}
-
 }  // namespace
 
 // Manual sift with a moving hole: each level costs one move instead of the
 // swap (three moves) std::push_heap/pop_heap would do on 80-byte records.
 
-void BinaryHeapEventQueue::sift_up(size_t i) {
+void EventQueue::sift_up(size_t i) {
   EventRecord moving = std::move(heap_[i]);
   while (i > 0) {
     const size_t parent = (i - 1) / 2;
@@ -46,7 +39,7 @@ void BinaryHeapEventQueue::sift_up(size_t i) {
   heap_[i] = std::move(moving);
 }
 
-void BinaryHeapEventQueue::sift_down(size_t i) {
+void EventQueue::sift_down(size_t i) {
   const size_t n = heap_.size();
   EventRecord moving = std::move(heap_[i]);
   for (;;) {
@@ -62,13 +55,13 @@ void BinaryHeapEventQueue::sift_down(size_t i) {
   heap_[i] = std::move(moving);
 }
 
-void BinaryHeapEventQueue::push(EventRecord record) {
+void EventQueue::push(EventRecord record) {
   record.seq = next_seq_++;
   heap_.push_back(std::move(record));
   sift_up(heap_.size() - 1);
 }
 
-EventRecord BinaryHeapEventQueue::pop() {
+EventRecord EventQueue::pop() {
   SB_EXPECTS(!heap_.empty(), "pop from empty event queue");
   EventRecord top = std::move(heap_.front());
   if (heap_.size() > 1) {
@@ -81,12 +74,8 @@ EventRecord BinaryHeapEventQueue::pop() {
   return top;
 }
 
-const EventRecord* BinaryHeapEventQueue::peek() const {
-  return heap_.empty() ? nullptr : &heap_.front();
-}
-
-void BinaryHeapEventQueue::extract_for(lat::BlockId target,
-                                       std::vector<EventRecord>& out) {
+void EventQueue::extract_for(lat::BlockId target,
+                             std::vector<EventRecord>& out) {
   const size_t first = out.size();
   size_t kept = 0;
   for (size_t i = 0; i < heap_.size(); ++i) {
@@ -101,139 +90,10 @@ void BinaryHeapEventQueue::extract_for(lat::BlockId target,
   heap_.resize(kept);
   // Floyd heap construction over the survivors.
   for (size_t i = kept / 2; i-- > 0;) sift_down(i);
-  sort_extracted(out, first);
-}
-
-BucketMapEventQueue::Bucket& BucketMapEventQueue::ring_bucket(SimTime t) {
-  Bucket& bucket = ring_[static_cast<size_t>(t & kRingMask)];
-  if (bucket.time != t) {
-    // A slot can only hold a different timestamp when that bucket has been
-    // fully drained (times within the window map to distinct slots).
-    SB_ASSERT(bucket.drained(), "calendar slot collision at t=", t);
-    bucket.time = t;
-    bucket.head = 0;
-    bucket.records.clear();  // keeps capacity: steady state never allocates
-  }
-  return bucket;
-}
-
-void BucketMapEventQueue::migrate_overflow() {
-  while (!overflow_.empty() &&
-         overflow_.begin()->first < cursor_ + kRingSize) {
-    auto it = overflow_.begin();
-    Bucket& slot = ring_bucket(it->first);
-    SB_ASSERT(slot.drained(), "overflow migration into a live slot");
-    slot.head = it->second.head;
-    slot.records = std::move(it->second.records);
-    overflow_.erase(it);
-  }
-}
-
-void BucketMapEventQueue::push(EventRecord record) {
-  record.seq = next_seq_++;
-  const SimTime t = record.time;
-  if (t < cursor_) {
-    // The simulator never schedules into the past, but the queue API
-    // permits it. Rewind the window and spill entries that no longer fit.
-    for (Bucket& bucket : ring_) {
-      if (!bucket.drained() && bucket.time - t >= kRingSize) {
-        Bucket& spill = overflow_[bucket.time];
-        spill.head = bucket.head;
-        spill.records = std::move(bucket.records);
-        bucket.records.clear();
-        bucket.head = 0;
-      }
-    }
-    cursor_ = t;
-  }
-  ++size_;
-  if (t - cursor_ < kRingSize) {
-    ring_bucket(t).records.push_back(std::move(record));
-    return;
-  }
-  overflow_[t].records.push_back(std::move(record));
-}
-
-EventRecord BucketMapEventQueue::pop() {
-  SB_EXPECTS(size_ > 0, "pop from empty event queue");
-  // Scan forward from the cursor; simulated time only advances, so each
-  // slot is crossed once per ring revolution (amortized O(1) per pop).
-  for (size_t k = 0; k < kRingSize; ++k) {
-    const SimTime t = cursor_ + k;
-    Bucket& bucket = ring_[static_cast<size_t>(t & kRingMask)];
-    if (bucket.time != t || bucket.drained()) continue;
-    cursor_ = t;
-    if (k > 0) migrate_overflow();
-    EventRecord record = std::move(bucket.records[bucket.head]);
-    ++bucket.head;
-    --size_;
-    return record;
-  }
-  // Ring window empty: jump to the earliest overflow bucket.
-  SB_ASSERT(!overflow_.empty(), "calendar lost events");
-  cursor_ = overflow_.begin()->first;
-  migrate_overflow();
-  Bucket& bucket = ring_[static_cast<size_t>(cursor_ & kRingMask)];
-  SB_ASSERT(bucket.time == cursor_ && !bucket.drained());
-  EventRecord record = std::move(bucket.records[bucket.head]);
-  ++bucket.head;
-  --size_;
-  return record;
-}
-
-void BucketMapEventQueue::extract_for(lat::BlockId target,
-                                      std::vector<EventRecord>& out) {
-  const size_t first = out.size();
-  const auto sweep_bucket = [&](Bucket& bucket) {
-    size_t kept = bucket.head;
-    for (size_t i = bucket.head; i < bucket.records.size(); ++i) {
-      if (addressed_to(bucket.records[i], target)) {
-        out.push_back(std::move(bucket.records[i]));
-        --size_;
-      } else {
-        if (kept != i) bucket.records[kept] = std::move(bucket.records[i]);
-        ++kept;
-      }
-    }
-    bucket.records.resize(kept);
-  };
-  for (Bucket& bucket : ring_) {
-    if (!bucket.drained()) sweep_bucket(bucket);
-  }
-  for (auto& [time, bucket] : overflow_) {
-    if (!bucket.drained()) sweep_bucket(bucket);
-  }
-  // A sweep can empty an overflow bucket outright; drop it, or the
-  // pop()/peek() fall-through — which trusts overflow_.begin() to hold a
-  // live record — would migrate a drained bucket into the ring. (Drained
-  // ring slots are harmless: the scans skip them and ring_bucket() resets
-  // them on reuse.)
-  std::erase_if(overflow_,
-                [](const auto& entry) { return entry.second.drained(); });
-  sort_extracted(out, first);
-}
-
-const EventRecord* BucketMapEventQueue::peek() const {
-  if (size_ == 0) return nullptr;
-  for (size_t k = 0; k < kRingSize; ++k) {
-    const SimTime t = cursor_ + k;
-    const Bucket& bucket = ring_[static_cast<size_t>(t & kRingMask)];
-    if (bucket.time == t && !bucket.drained()) {
-      return &bucket.records[bucket.head];
-    }
-  }
-  const Bucket& bucket = overflow_.begin()->second;
-  return &bucket.records[bucket.head];
-}
-
-std::unique_ptr<EventQueue> make_event_queue(QueueKind kind) {
-  switch (kind) {
-    case QueueKind::kBinaryHeap:
-      return std::make_unique<BinaryHeapEventQueue>();
-    case QueueKind::kBucketMap:
-      return std::make_unique<BucketMapEventQueue>();
-  }
-  SB_UNREACHABLE();
+  std::sort(out.begin() + static_cast<ptrdiff_t>(first), out.end(),
+            [](const EventRecord& a, const EventRecord& b) {
+              return event_before(a, b);
+            });
 }
 
 }  // namespace sb::sim

@@ -1,15 +1,10 @@
 #pragma once
-// Pending-event set implementations.
-//
-// Two interchangeable structures back the simulator: a binary heap (the
-// default) and a time-bucketed ordered map. Both store EventRecords by
-// value — pushing a built-in event allocates nothing, and the heap is one
-// contiguous array. bench_ablations compares their throughput; the
-// VisibleSim paper's 650k events/s claim is sensitive to exactly this
-// choice.
+// The pending-event set: an array-backed binary min-heap of EventRecords,
+// ordered by (time, seq). Records are stored by value — pushing a built-in
+// event allocates nothing, and the heap is one contiguous array. The
+// classic simulator holds one; the sharded engine holds one per shard plus
+// a sequential one for grid-mutating events.
 
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -18,17 +13,17 @@ namespace sb::sim {
 
 class EventQueue {
  public:
-  virtual ~EventQueue() = default;
-
   /// Takes ownership; assigns the tie-breaking sequence number.
-  virtual void push(EventRecord record) = 0;
+  void push(EventRecord record);
 
   /// Removes and returns the earliest event (time, then seq). Queue must be
   /// non-empty.
-  virtual EventRecord pop() = 0;
+  EventRecord pop();
 
   /// Earliest event without removing it; nullptr when empty.
-  [[nodiscard]] virtual const EventRecord* peek() const = 0;
+  [[nodiscard]] const EventRecord* peek() const {
+    return heap_.empty() ? nullptr : &heap_.front();
+  }
 
   /// Removes every pending event addressed to `target` (start/timer events
   /// whose subject it is, deliveries whose receiver it is) and appends them
@@ -36,82 +31,17 @@ class EventQueue {
   /// migrating block's events with this when a motion carries it across a
   /// stripe boundary; motions are rare, so the linear scan is off the hot
   /// path.
-  virtual void extract_for(lat::BlockId target,
-                           std::vector<EventRecord>& out) = 0;
+  void extract_for(lat::BlockId target, std::vector<EventRecord>& out);
 
-  [[nodiscard]] virtual size_t size() const = 0;
-  [[nodiscard]] bool empty() const { return size() == 0; }
-
- protected:
-  uint64_t next_seq_ = 0;
-};
-
-/// Array-backed binary min-heap of records.
-class BinaryHeapEventQueue final : public EventQueue {
- public:
-  void push(EventRecord record) override;
-  EventRecord pop() override;
-  [[nodiscard]] const EventRecord* peek() const override;
-  void extract_for(lat::BlockId target, std::vector<EventRecord>& out) override;
-  [[nodiscard]] size_t size() const override { return heap_.size(); }
+  [[nodiscard]] size_t size() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
  private:
   void sift_up(size_t i);
   void sift_down(size_t i);
 
   std::vector<EventRecord> heap_;
+  uint64_t next_seq_ = 0;
 };
-
-/// Calendar queue: a power-of-two ring of per-timestamp FIFO buckets for
-/// the near future, plus an ordered overflow map for timestamps beyond the
-/// ring horizon. Link latencies and motion durations are a handful of
-/// ticks, so nearly every push lands in the ring at O(1) with a single
-/// record move — no heap sift over 80-byte records, no map lookup — and
-/// pops scan forward from the time cursor (amortized O(1): simulated time
-/// only advances). Pop order is exactly (time, seq), identical to the
-/// binary heap, so runs are bit-for-bit the same under either queue.
-class BucketMapEventQueue final : public EventQueue {
- public:
-  /// Ring span in ticks; larger than any latency model's typical draw so
-  /// overflow stays rare (timers and exponential tails still land there).
-  /// Public so the ring-horizon boundary tests can target the exact tick
-  /// where a push spills from the ring into the overflow map.
-  static constexpr size_t kRingBits = 7;
-  static constexpr size_t kRingSize = size_t{1} << kRingBits;
-  static constexpr SimTime kRingMask = kRingSize - 1;
-
-  void push(EventRecord record) override;
-  EventRecord pop() override;
-  [[nodiscard]] const EventRecord* peek() const override;
-  void extract_for(lat::BlockId target, std::vector<EventRecord>& out) override;
-  [[nodiscard]] size_t size() const override { return size_; }
-
- private:
-
-  struct Bucket {
-    SimTime time = 0;
-    size_t head = 0;  ///< index of the earliest un-popped record
-    std::vector<EventRecord> records;
-
-    [[nodiscard]] bool drained() const { return head >= records.size(); }
-  };
-
-  /// Bucket for in-window time `t`, reset (retaining capacity) if it still
-  /// holds a fully drained older timestamp.
-  [[nodiscard]] Bucket& ring_bucket(SimTime t);
-  /// Moves overflow buckets that entered the ring window after the cursor
-  /// advanced; keeps the "overflow times are beyond the window" invariant.
-  void migrate_overflow();
-
-  std::vector<Bucket> ring_ = std::vector<Bucket>(kRingSize);
-  /// Lower bound on the earliest pending timestamp (== last popped time).
-  SimTime cursor_ = 0;
-  std::map<SimTime, Bucket> overflow_;
-  size_t size_ = 0;
-};
-
-enum class QueueKind { kBinaryHeap, kBucketMap };
-
-[[nodiscard]] std::unique_ptr<EventQueue> make_event_queue(QueueKind kind);
 
 }  // namespace sb::sim

@@ -21,13 +21,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "lattice/grid.hpp"
-#include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "util/rng.hpp"
@@ -75,7 +73,7 @@ struct PhaseBreakdown {
 struct ShardState {
   size_t index = 0;
   /// Pending events addressed to blocks inside this shard.
-  std::unique_ptr<EventQueue> queue;
+  EventQueue queue;
   /// Independent latency stream, forked from the master seed by shard
   /// index; consumed only while this shard drains, so draw order is
   /// deterministic.
@@ -199,11 +197,8 @@ class ShardEngine {
   /// Phase totals summed over workers since the last reset. Only valid
   /// while the workers are parked (i.e. outside run()).
   [[nodiscard]] PhaseBreakdown phase_totals() const;
-  /// Per-worker metric registries (per-phase duration histograms) merged
-  /// into one snapshot. Only valid while the workers are parked.
-  [[nodiscard]] obs::Registry merged_metrics() const;
-  /// Zeroes phase totals and per-worker registries (after the simulator
-  /// folds them into its own accumulators).
+  /// Zeroes the per-worker phase totals (after the simulator folds them
+  /// into its own accumulator).
   void reset_observability();
 
  private:
@@ -212,7 +207,6 @@ class ShardEngine {
   /// workers are parked.
   struct alignas(64) WorkerObs {
     PhaseBreakdown phases;
-    obs::Registry metrics;
   };
 
   void worker_main(size_t worker);

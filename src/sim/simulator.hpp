@@ -34,7 +34,6 @@ struct SimConfig {
   msg::LatencyModel latency = msg::LatencyModel::fixed(1);
   /// Ticks a motion takes from request to landing.
   Ticks motion_duration = 10;
-  QueueKind queue = QueueKind::kBinaryHeap;
   /// Disable per-kind counter maps in tight throughput benches.
   bool detailed_stats = true;
   /// Shards the world is partitioned into. 1 keeps the classic single
@@ -124,9 +123,6 @@ class Simulator {
   [[nodiscard]] const PhaseBreakdown& phase_breakdown() const {
     return phases_;
   }
-  /// Merged shard-worker metrics registry (per-phase latency histograms),
-  /// accumulated like phase_breakdown(). Empty in classic mode.
-  [[nodiscard]] const obs::Registry& metrics() const { return metrics_; }
 
   // -- modules --------------------------------------------------------------
 
@@ -237,9 +233,9 @@ class Simulator {
   void clear_halt() { halted_ = false; }
 
   [[nodiscard]] size_t pending_events() const {
-    if (!sharded_) return queue_->size();
-    size_t pending = global_queue_->size();
-    for (const auto& shard : shards_) pending += shard->queue->size();
+    if (!sharded_) return queue_.size();
+    size_t pending = global_queue_.size();
+    for (const auto& shard : shards_) pending += shard->queue.size();
     return pending;
   }
 
@@ -303,7 +299,7 @@ class Simulator {
   Rng rng_;
   SimTime now_ = 0;
   bool halted_ = false;
-  std::unique_ptr<EventQueue> queue_;
+  EventQueue queue_;
   /// Dense table indexed by id (ids are small and near-contiguous; see
   /// Grid). Index order == id order, so iteration stays deterministic.
   std::vector<std::unique_ptr<Module>> modules_;
@@ -326,7 +322,7 @@ class Simulator {
   std::vector<std::unique_ptr<ShardState>> shards_;
   /// Grid-mutating (motion-complete) and external events; always executed
   /// sequentially between windows so handlers see a quiescent world.
-  std::unique_ptr<EventQueue> global_queue_;
+  EventQueue global_queue_;
   std::unique_ptr<ShardEngine> engine_;
   /// Per-run() loop state shared by the engine hooks: limits, events
   /// counted so far, and the stop reason sharded_decide() settled on.
@@ -334,10 +330,9 @@ class Simulator {
   RunLimits run_limits_{};
   uint64_t run_processed_ = 0;
   StopReason run_reason_ = StopReason::kQueueEmpty;
-  /// Observability accumulators, folded in from the engine after each
-  /// sharded run() while the workers are parked.
+  /// Phase timing, folded in from the engine after each sharded run()
+  /// while the workers are parked.
   PhaseBreakdown phases_;
-  obs::Registry metrics_;
   /// True between a window drain and the fold that consumes it; the
   /// bootstrap fold of a run() (no window drained yet) must not advance
   /// the fault-flush counter.

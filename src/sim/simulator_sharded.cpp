@@ -94,12 +94,10 @@ void Simulator::init_shards() {
   lookahead_ = std::max<Ticks>(
       1, std::min<Ticks>(config_.latency.min_ticks(),
                          config_.motion_duration));
-  global_queue_ = make_event_queue(config_.queue);
   shards_.reserve(shard_map_.count());
   for (size_t i = 0; i < shard_map_.count(); ++i) {
     auto shard = std::make_unique<ShardState>();
     shard->index = i;
-    shard->queue = make_event_queue(config_.queue);
     shard->rng = rng_.fork(kShardRngStreamBase + i);
     shard->inbound.resize(shard_map_.count());
     shards_.push_back(std::move(shard));
@@ -153,7 +151,6 @@ StopReason Simulator::run_sharded(RunLimits limits) {
   merge_shard_stats();
   // Fold the engine's observability state while its workers are parked.
   phases_.merge(engine_->phase_totals());
-  metrics_.merge(engine_->merged_metrics());
   engine_->reset_observability();
   return run_reason_;
 }
@@ -186,7 +183,7 @@ void Simulator::sharded_fold() {
         inflight_motions_.emplace_back(record.a, record.app);
         world_.grid().mutable_state().set_move_pending(record.a, true);
       }
-      global_queue_->push(std::move(record));
+      global_queue_.push(std::move(record));
     }
     shard->pending_global.clear();
     // Publish a window flood's verdict: it was computed against the current
@@ -208,7 +205,7 @@ void Simulator::sharded_integrate(size_t index) {
   // drain; the rendezvous barrier ordered those writes before this read.
   for (auto& slot : shard.inbound) {
     if (!drop_integration_) {
-      for (auto& record : slot) shard.queue->push(std::move(record));
+      for (auto& record : slot) shard.queue.push(std::move(record));
     }
     slot.clear();
   }
@@ -228,11 +225,11 @@ bool Simulator::sharded_decide(SimTime* window_end) {
 
     SimTime t_shard = kTimeMax;
     for (const auto& shard : shards_) {
-      if (const EventRecord* head = shard->queue->peek()) {
+      if (const EventRecord* head = shard->queue.peek()) {
         t_shard = std::min(t_shard, head->time);
       }
     }
-    const EventRecord* global_head = global_queue_->peek();
+    const EventRecord* global_head = global_queue_.peek();
     const SimTime t_global =
         global_head != nullptr ? global_head->time : kTimeMax;
     const SimTime t_min = std::min(t_shard, t_global);
@@ -249,7 +246,7 @@ bool Simulator::sharded_decide(SimTime* window_end) {
       // Sequential step: the next grid mutation (or external event) is due
       // before any shard event. At equal timestamps mutations go first so
       // same-tick module events observe the post-move surface.
-      EventRecord record = global_queue_->pop();
+      EventRecord record = global_queue_.pop();
       now_ = record.time;
       count_event(record);
       if (trace_events_) record_trace(sequential_stream, record);
@@ -285,7 +282,7 @@ void Simulator::drain_shard_window(ShardState& shard, SimTime window_end) {
   }
   lat::Grid::install_connectivity_view(&shard.conn_view);
 
-  EventQueue& queue = *shard.queue;
+  EventQueue& queue = shard.queue;
   const bool detailed = config_.detailed_stats;
   while (const EventRecord* head = queue.peek()) {
     if (head->time >= window_end) break;
@@ -309,11 +306,11 @@ void Simulator::rehome_block_events(lat::BlockId id, size_t from_shard,
                                     size_t to_shard) {
   SB_ASSERT(id.valid());
   std::vector<EventRecord> extracted;
-  shards_[from_shard]->queue->extract_for(id, extracted);
+  shards_[from_shard]->queue.extract_for(id, extracted);
   // Re-pushing in (time, seq) order assigns fresh destination seqs while
   // preserving the events' relative order.
   for (EventRecord& record : extracted) {
-    shards_[to_shard]->queue->push(std::move(record));
+    shards_[to_shard]->queue.push(std::move(record));
   }
 }
 

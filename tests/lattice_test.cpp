@@ -183,6 +183,11 @@ TEST(GridDeath, DuplicateIdAborts) {
   EXPECT_DEATH(grid.place(BlockId{1}, {1, 1}), "already on the surface");
 }
 
+TEST(GridDeath, SurfaceAboveTheCellLimitAborts) {
+  // The bound is checked before any per-cell array is allocated.
+  EXPECT_DEATH((void)Grid(100'000, 100'000), "above the limit");
+}
+
 TEST(Grid, NeighborsOf) {
   Grid grid(3, 3);
   grid.place(BlockId{1}, {1, 1});

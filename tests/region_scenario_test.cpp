@@ -168,29 +168,47 @@ TEST(Scenario, ParseErrorsCarryLineNumbers) {
   // Besides malformed lines, numbers that do not fit their field: block
   // ids must stay below the invalid-id sentinel UINT32_MAX (2^32 + 1 must
   // not wrap to #1), sizes and cells must fit int32_t (a width of
-  // 2^32 + 10 must not wrap to 10).
-  const std::string head = "size 10 10\ninput 0 0\noutput 3 0\n";
-  const std::vector<std::pair<std::string, std::string>> cases = {
-      {"size 4 4\ninput 0 0\nbogus 1 2\n", "line 3"},
-      {head + "block 4294967297 1 0\n", "line 4"},
-      {head + "block 4294967295 1 0\n", "line 4"},
-      {head + "block 99999999999999999999 1 0\n", "line 4"},
-      {head + "block 1 2147483648 0\n", "line 4"},
-      {head + "block 1 0 -2147483649\n", "line 4"},
-      {"size 4294967306 10\ninput 0 0\noutput 3 0\n", "line 1"},
-      {"size 10 -4294967286\ninput 0 0\noutput 3 0\n", "line 1"},
-      {"size 10 10\ninput 4294967296 0\noutput 3 0\n", "line 2"},
-      {"size 10 10\ninput 0 0\noutput 3 2147483648\n", "line 3"},
+  // 2^32 + 10 must not wrap to 10). An id that is not a number, or does not
+  // fit int64_t, is reported as such, not as a negative id.
+  struct Case {
+    std::string text;
+    std::string line;
+    std::string message;
   };
-  for (const auto& [text, line] : cases) {
+  const std::string head = "size 10 10\ninput 0 0\noutput 3 0\n";
+  const std::vector<Case> cases = {
+      {"size 4 4\ninput 0 0\nbogus 1 2\n", "line 3",
+       "unknown keyword 'bogus'"},
+      {head + "block 4294967297 1 0\n", "line 4",
+       "block id 4294967297 must be below 4294967295"},
+      {head + "block 4294967295 1 0\n", "line 4",
+       "block id 4294967295 must be below 4294967295"},
+      {head + "block 99999999999999999999 1 0\n", "line 4",
+       "expected an integer block id, got '99999999999999999999'"},
+      {head + "block abc 0 0\n", "line 4",
+       "expected an integer block id, got 'abc'"},
+      {head + "block -3 0 0\n", "line 4", "block id must be >= 0"},
+      {head + "block 1 2147483648 0\n", "line 4",
+       "2147483648 does not fit a 32-bit coordinate"},
+      {head + "block 1 0 -2147483649\n", "line 4",
+       "-2147483649 does not fit a 32-bit coordinate"},
+      {head + "block 1 x 0\n", "line 4", "expected an integer, got 'x'"},
+      {"size 4294967306 10\ninput 0 0\noutput 3 0\n", "line 1",
+       "4294967306 does not fit a 32-bit coordinate"},
+      {"size 10 -4294967286\ninput 0 0\noutput 3 0\n", "line 1",
+       "-4294967286 does not fit a 32-bit coordinate"},
+      {"size 10 10\ninput 4294967296 0\noutput 3 0\n", "line 2",
+       "4294967296 does not fit a 32-bit coordinate"},
+      {"size 10 10\ninput 0 0\noutput 3 2147483648\n", "line 3",
+       "2147483648 does not fit a 32-bit coordinate"},
+  };
+  for (const auto& [text, line, message] : cases) {
     try {
       (void)parse_scenario(text);
       ADD_FAILURE() << "expected a parse error for:\n" << text;
     } catch (const std::runtime_error& error) {
-      const std::string what = error.what();
-      EXPECT_NE(what.find("scenario parse error at " + line),
-                std::string::npos)
-          << what;
+      EXPECT_EQ(std::string(error.what()),
+                "scenario parse error at " + line + ": " + message);
     }
   }
 }
@@ -327,6 +345,20 @@ TEST(ScenarioValidate, RejectsIdsAboveTheDenseLimit) {
       "block id #67108864 exceeds the dense-id limit (67108863)",
       "duplicate block id #1"};
   EXPECT_EQ(validate(t), above_limit);
+}
+
+TEST(ScenarioValidate, RejectsSurfacesAboveTheCellLimit) {
+  // 10^10 cells: validate reports the area before it allocates the
+  // per-cell occupancy array, so this test allocates nothing of that size.
+  const Scenario s = parse_scenario(
+      "size 100000 100000\ninput 0 0\noutput 3 0\n"
+      "block 1 0 0\nblock 2 1 0\nblock 3 2 0\nblock 4 0 1\nblock 5 1 1\n");
+  const std::vector<std::string> expected = {
+      "surface 100000x100000 has 10000000000 cells, above the limit "
+      "(134217728)"};
+  EXPECT_EQ(validate(s), expected);
+  // The largest generated world stays under the limit.
+  EXPECT_LE(size_t{5} * 10'000'000, Grid::kMaxCells);
 }
 
 TEST(ScenarioValidate, RejectsOutOfBoundsIO) {
@@ -474,6 +506,27 @@ TEST(ResolveScenario, FallsBackToScenarioFiles) {
     EXPECT_NE(std::string(error.what())
                   .find("is invalid: block id #70000000 exceeds the "
                         "dense-id limit (67108863)"),
+              std::string::npos)
+        << error.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ResolveScenario, RejectsSurfaceFilesAboveTheCellLimit) {
+  const std::string path = ::testing::TempDir() + "huge_surface.surf";
+  {
+    std::ofstream out(path);
+    out << "size 100000 100000\ninput 0 0\noutput 3 0\n"
+           "block 1 0 0\nblock 2 1 0\nblock 3 2 0\n"
+           "block 4 0 1\nblock 5 1 1\n";
+  }
+  try {
+    (void)resolve_scenario(path);
+    ADD_FAILURE() << "expected an invalid-scenario error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("is invalid: surface 100000x100000 has 10000000000 "
+                        "cells, above the limit (134217728)"),
               std::string::npos)
         << error.what();
   }

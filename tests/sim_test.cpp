@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -16,7 +17,7 @@ using lat::Direction;
 using lat::Vec2;
 
 // ---------------------------------------------------------------------------
-// Event queues
+// Event queue
 // ---------------------------------------------------------------------------
 
 class ProbeEvent final : public Event {
@@ -32,8 +33,6 @@ class ProbeEvent final : public Event {
   std::vector<int>* sink_;
 };
 
-class QueueKindsTest : public ::testing::TestWithParam<QueueKind> {};
-
 /// Wraps a ProbeEvent (label carrier) into a by-value record.
 EventRecord probe(SimTime time, int label, std::vector<int>* sink) {
   return EventRecord::wrap(time,
@@ -44,157 +43,61 @@ int label_of(const EventRecord& record) {
   return static_cast<const ProbeEvent*>(record.external.get())->label();
 }
 
-TEST_P(QueueKindsTest, PopsInTimeOrder) {
-  auto queue = make_event_queue(GetParam());
+TEST(EventQueue, PopsInTimeOrder) {
+  EventQueue queue;
   std::vector<int> sink;
-  queue->push(probe(30, 3, &sink));
-  queue->push(probe(10, 1, &sink));
-  queue->push(probe(20, 2, &sink));
-  EXPECT_EQ(queue->size(), 3u);
-  EXPECT_EQ(queue->pop().time, 10u);
-  EXPECT_EQ(queue->pop().time, 20u);
-  EXPECT_EQ(queue->pop().time, 30u);
-  EXPECT_TRUE(queue->empty());
+  queue.push(probe(30, 3, &sink));
+  queue.push(probe(10, 1, &sink));
+  queue.push(probe(20, 2, &sink));
+  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_EQ(queue.pop().time, 10u);
+  EXPECT_EQ(queue.pop().time, 20u);
+  EXPECT_EQ(queue.pop().time, 30u);
+  EXPECT_TRUE(queue.empty());
 }
 
-TEST_P(QueueKindsTest, TiesBreakByInsertionOrder) {
-  auto queue = make_event_queue(GetParam());
+TEST(EventQueue, TiesBreakByInsertionOrder) {
+  EventQueue queue;
   std::vector<int> sink;
   for (int i = 0; i < 10; ++i) {
-    queue->push(probe(5, i, &sink));
+    queue.push(probe(5, i, &sink));
   }
   for (int i = 0; i < 10; ++i) {
-    const EventRecord record = queue->pop();
+    const EventRecord record = queue.pop();
     EXPECT_EQ(label_of(record), i);
   }
 }
 
-TEST_P(QueueKindsTest, MixedRecordKindsOrderByTimeThenInsertion) {
-  auto queue = make_event_queue(GetParam());
+TEST(EventQueue, MixedRecordKindsOrderByTimeThenInsertion) {
+  EventQueue queue;
   std::vector<int> sink;
-  queue->push(EventRecord::timer(5, lat::BlockId{1}, 42));
-  queue->push(probe(5, 1, &sink));
-  queue->push(EventRecord::start(2, lat::BlockId{1}));
-  EXPECT_EQ(queue->pop().kind, EventKind::kStart);
-  EXPECT_EQ(queue->pop().kind, EventKind::kTimer);  // same time, pushed first
-  EXPECT_EQ(queue->pop().kind, EventKind::kExternal);
+  queue.push(EventRecord::timer(5, lat::BlockId{1}, 42));
+  queue.push(probe(5, 1, &sink));
+  queue.push(EventRecord::start(2, lat::BlockId{1}));
+  EXPECT_EQ(queue.pop().kind, EventKind::kStart);
+  EXPECT_EQ(queue.pop().kind, EventKind::kTimer);  // same time, pushed first
+  EXPECT_EQ(queue.pop().kind, EventKind::kExternal);
 }
 
-TEST_P(QueueKindsTest, PeekDoesNotRemove) {
-  auto queue = make_event_queue(GetParam());
+TEST(EventQueue, PeekDoesNotRemove) {
+  EventQueue queue;
   std::vector<int> sink;
-  EXPECT_EQ(queue->peek(), nullptr);
-  queue->push(probe(7, 0, &sink));
-  ASSERT_NE(queue->peek(), nullptr);
-  EXPECT_EQ(queue->peek()->time, 7u);
-  EXPECT_EQ(queue->size(), 1u);
+  EXPECT_EQ(queue.peek(), nullptr);
+  queue.push(probe(7, 0, &sink));
+  ASSERT_NE(queue.peek(), nullptr);
+  EXPECT_EQ(queue.peek()->time, 7u);
+  EXPECT_EQ(queue.size(), 1u);
 }
 
-TEST_P(QueueKindsTest, InterleavedPushPop) {
-  auto queue = make_event_queue(GetParam());
+TEST(EventQueue, InterleavedPushPop) {
+  EventQueue queue;
   std::vector<int> sink;
-  queue->push(probe(10, 1, &sink));
-  queue->push(probe(5, 0, &sink));
-  EXPECT_EQ(queue->pop().time, 5u);
-  queue->push(probe(3, 2, &sink));  // earlier again
-  EXPECT_EQ(queue->pop().time, 3u);
-  EXPECT_EQ(queue->pop().time, 10u);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllQueues, QueueKindsTest,
-                         ::testing::Values(QueueKind::kBinaryHeap,
-                                           QueueKind::kBucketMap),
-                         [](const auto& param_info) {
-                           return param_info.param == QueueKind::kBinaryHeap
-                                      ? "BinaryHeap"
-                                      : "BucketMap";
-                         });
-
-// ---------------------------------------------------------------------------
-// Calendar-queue ring horizon
-//
-// The bucket queue keeps a kRingSize-tick ring for the near future and
-// spills later timestamps into an ordered overflow map. The boundary —
-// events landing exactly on cursor + kRingSize — is where a push must
-// spill, and where overflow buckets must migrate back as the cursor
-// advances. Pop order must match the binary heap bit for bit either way.
-// ---------------------------------------------------------------------------
-
-TEST(BucketMapRing, PushExactlyOnHorizonSpillsAndPopsInOrder) {
-  constexpr SimTime kHorizon = BucketMapEventQueue::kRingSize;  // cursor = 0
-  BucketMapEventQueue queue;
-  std::vector<int> sink;
-  queue.push(probe(kHorizon, 2, &sink));      // first tick beyond the ring
-  queue.push(probe(kHorizon - 1, 1, &sink));  // last in-ring tick
-  queue.push(probe(kHorizon + 1, 3, &sink));  // deeper overflow
-  queue.push(probe(0, 0, &sink));
-  ASSERT_EQ(queue.size(), 4u);
-  EXPECT_EQ(label_of(queue.pop()), 0);
-  EXPECT_EQ(label_of(queue.pop()), 1);
-  // Popping t = kHorizon - 1 moved the cursor; the horizon events migrate
-  // into the ring and pop in (time, seq) order.
-  EXPECT_EQ(label_of(queue.pop()), 2);
-  EXPECT_EQ(label_of(queue.pop()), 3);
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(BucketMapRing, SameTickSplitAcrossRingAndOverflowKeepsSeqOrder) {
-  constexpr SimTime kHorizon = BucketMapEventQueue::kRingSize;
-  BucketMapEventQueue queue;
-  std::vector<int> sink;
-  // Same future timestamp, pushed while it is beyond the horizon...
-  queue.push(probe(kHorizon, 0, &sink));
-  queue.push(probe(kHorizon, 1, &sink));
-  // ...then the cursor advances (pop at t=1) so kHorizon enters the ring
-  // window, and two more records for the same tick land in the ring.
-  queue.push(probe(1, 99, &sink));
-  EXPECT_EQ(label_of(queue.pop()), 99);
-  queue.push(probe(kHorizon, 2, &sink));
-  queue.push(probe(kHorizon, 3, &sink));
-  for (int expected = 0; expected < 4; ++expected) {
-    const EventRecord record = queue.pop();
-    EXPECT_EQ(record.time, kHorizon);
-    EXPECT_EQ(label_of(record), expected) << "seq order broken at horizon";
-  }
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(BucketMapRing, MatchesBinaryHeapAcrossHorizonBoundary) {
-  // Randomized cross-check hammering timestamps around multiples of the
-  // ring span: both queues must pop the identical (time, label) sequence.
-  constexpr SimTime kHorizon = BucketMapEventQueue::kRingSize;
-  BinaryHeapEventQueue heap;
-  BucketMapEventQueue calendar;
-  std::vector<int> sink;
-  Rng rng(0xCA1E17DA);
-  int label = 0;
-  SimTime base = 0;
-  for (int burst = 0; burst < 64; ++burst) {
-    const int pushes = static_cast<int>(rng.next_below(6)) + 1;
-    for (int i = 0; i < pushes; ++i) {
-      // Cluster around the horizon: offsets in [kHorizon - 2, kHorizon + 2].
-      const SimTime offset =
-          kHorizon - 2 + static_cast<SimTime>(rng.next_below(5));
-      heap.push(probe(base + offset, label, &sink));
-      calendar.push(probe(base + offset, label, &sink));
-      ++label;
-    }
-    const int pops = static_cast<int>(rng.next_below(3));
-    for (int i = 0; i < pops && !heap.empty(); ++i) {
-      const EventRecord a = heap.pop();
-      const EventRecord b = calendar.pop();
-      ASSERT_EQ(a.time, b.time);
-      ASSERT_EQ(label_of(a), label_of(b));
-      base = a.time;  // simulated time advances with the pops
-    }
-  }
-  while (!heap.empty()) {
-    const EventRecord a = heap.pop();
-    const EventRecord b = calendar.pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(label_of(a), label_of(b));
-  }
-  EXPECT_TRUE(calendar.empty());
+  queue.push(probe(10, 1, &sink));
+  queue.push(probe(5, 0, &sink));
+  EXPECT_EQ(queue.pop().time, 5u);
+  queue.push(probe(3, 2, &sink));  // earlier again
+  EXPECT_EQ(queue.pop().time, 3u);
+  EXPECT_EQ(queue.pop().time, 10u);
 }
 
 struct ExtractProbeMsg final : msg::Message {
@@ -204,56 +107,114 @@ struct ExtractProbeMsg final : msg::Message {
   }
 };
 
-TEST_P(QueueKindsTest, ExtractForPullsTargetedEventsInOrder) {
-  auto queue = make_event_queue(GetParam());
+TEST(EventQueue, ExtractForPullsTargetedEventsInOrder) {
+  constexpr SimTime kFar = 1000;
+  EventQueue queue;
   const lat::BlockId mover{7};
   const lat::BlockId other{9};
-  queue->push(EventRecord::timer(12, mover, 1));
-  queue->push(EventRecord::timer(5, other, 2));
-  queue->push(EventRecord::start(3, mover));
-  queue->push(EventRecord::delivery(
+  queue.push(EventRecord::timer(12, mover, 1));
+  queue.push(EventRecord::timer(5, other, 2));
+  queue.push(EventRecord::start(3, mover));
+  queue.push(EventRecord::delivery(
       9, other, mover, std::make_unique<ExtractProbeMsg>(), 0));
-  queue->push(EventRecord::delivery(
+  queue.push(EventRecord::delivery(
       6, mover, other, std::make_unique<ExtractProbeMsg>(),
       0));  // mover is sender
-  // Beyond the bucket queue's ring horizon, so extraction sweeps overflow.
-  queue->push(
-      EventRecord::timer(BucketMapEventQueue::kRingSize + 40, mover, 3));
+  queue.push(EventRecord::timer(kFar, mover, 3));
 
   std::vector<EventRecord> extracted;
-  queue->extract_for(mover, extracted);
+  queue.extract_for(mover, extracted);
   ASSERT_EQ(extracted.size(), 4u);
   EXPECT_EQ(extracted[0].kind, EventKind::kStart);
   EXPECT_EQ(extracted[1].time, 9u);  // delivery addressed *to* the mover
   EXPECT_EQ(extracted[2].time, 12u);
-  EXPECT_EQ(extracted[3].time, BucketMapEventQueue::kRingSize + 40);
+  EXPECT_EQ(extracted[3].time, kFar);
 
   // Survivors: other's timer, the delivery mover sent to other.
-  EXPECT_EQ(queue->size(), 2u);
-  EXPECT_EQ(queue->pop().time, 5u);
-  EXPECT_EQ(queue->pop().time, 6u);
-  EXPECT_TRUE(queue->empty());
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue.pop().time, 5u);
+  EXPECT_EQ(queue.pop().time, 6u);
+  EXPECT_TRUE(queue.empty());
 }
 
-TEST_P(QueueKindsTest, ExtractForDropsEmptiedOverflowBuckets) {
-  // Regression: extracting the only record of a beyond-horizon bucket left
-  // a drained bucket behind, and the bucket queue's pop() fall-through —
-  // which trusts the earliest overflow bucket to hold a live record —
-  // migrated it into the ring and read past its end.
-  auto queue = make_event_queue(GetParam());
-  const SimTime far = BucketMapEventQueue::kRingSize + 50;
-  queue->push(EventRecord::timer(far, lat::BlockId{7}, 1));
-  queue->push(EventRecord::timer(far + 3, lat::BlockId{9}, 2));
-
-  std::vector<EventRecord> extracted;
-  queue->extract_for(lat::BlockId{7}, extracted);
-  ASSERT_EQ(extracted.size(), 1u);
-  EXPECT_EQ(extracted[0].time, far);
-
-  ASSERT_EQ(queue->peek() != nullptr, true);
-  EXPECT_EQ(queue->peek()->time, far + 3);
-  EXPECT_EQ(queue->pop().time, far + 3);
-  EXPECT_TRUE(queue->empty());
+TEST(EventQueue, MatchesSortedReferenceUnderRandomOperations) {
+  // Seeded random mix of push, pop, peek and extract_for over clustered
+  // equal timestamps and far-apart ones. A plain vector kept sorted by
+  // (time, seq) is the reference for every pop and every extracted batch.
+  struct Pending {
+    SimTime time;
+    uint64_t seq;
+    lat::BlockId addressee;
+  };
+  const auto before = [](const Pending& x, const Pending& y) {
+    return x.time != y.time ? x.time < y.time : x.seq < y.seq;
+  };
+  EventQueue queue;
+  std::vector<Pending> reference;
+  Rng rng(0xE7E47);
+  uint64_t pushed = 0;
+  SimTime now = 0;
+  size_t pops = 0;
+  size_t extractions = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const uint64_t op = rng.next_below(10);
+    if (op < 5) {
+      SimTime time = now;  // ties at the current tick
+      const uint64_t spread = rng.next_below(3);
+      if (spread == 1) time += rng.next_below(4);
+      if (spread == 2) time += 1000 + rng.next_below(1'000'000);
+      const lat::BlockId addressee{static_cast<uint32_t>(rng.next_below(6))};
+      if (rng.next_below(2) == 0) {
+        queue.push(EventRecord::timer(time, addressee, pushed));
+      } else {
+        // Addressed to the receiver; the sender must not match extract_for.
+        const lat::BlockId sender{static_cast<uint32_t>(rng.next_below(6))};
+        queue.push(EventRecord::delivery(
+            time, sender, addressee, std::make_unique<ExtractProbeMsg>(), 0));
+      }
+      reference.push_back({time, pushed++, addressee});
+      std::sort(reference.begin(), reference.end(), before);
+    } else if (op < 8) {
+      ASSERT_EQ(queue.size(), reference.size());
+      if (reference.empty()) {
+        EXPECT_EQ(queue.peek(), nullptr);
+        continue;
+      }
+      ASSERT_NE(queue.peek(), nullptr);
+      EXPECT_EQ(queue.peek()->seq, reference.front().seq);
+      const EventRecord record = queue.pop();
+      ASSERT_EQ(record.time, reference.front().time);
+      ASSERT_EQ(record.seq, reference.front().seq);
+      now = record.time;
+      reference.erase(reference.begin());
+      ++pops;
+    } else {
+      const lat::BlockId target{static_cast<uint32_t>(rng.next_below(6))};
+      std::vector<EventRecord> extracted;
+      queue.extract_for(target, extracted);
+      std::vector<Pending> expected;
+      std::erase_if(reference, [&](const Pending& p) {
+        if (p.addressee != target) return false;
+        expected.push_back(p);
+        return true;
+      });
+      ASSERT_EQ(extracted.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(extracted[i].time, expected[i].time);
+        ASSERT_EQ(extracted[i].seq, expected[i].seq);
+      }
+      ++extractions;
+    }
+  }
+  while (!reference.empty()) {
+    const EventRecord record = queue.pop();
+    ASSERT_EQ(record.time, reference.front().time);
+    ASSERT_EQ(record.seq, reference.front().seq);
+    reference.erase(reference.begin());
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_GT(pops, 1000u);
+  EXPECT_GT(extractions, 300u);
 }
 
 // ---------------------------------------------------------------------------
